@@ -73,7 +73,11 @@ def lz77(s: Text | bytes, allow_overlap: bool = True) -> LZFactorization:
     syms = s.symbols if isinstance(s, Text) else bytes(s)
     if not syms:
         raise ValueError("empty input")
-    sam = SuffixAutomaton(syms)
+    return _parse(syms, SuffixAutomaton(syms), allow_overlap)
+
+
+def _parse(syms: bytes, sam: SuffixAutomaton, allow_overlap: bool) -> LZFactorization:
+    """Greedy parse of syms with the suffix automaton of syms itself."""
     min_end = sam.finalize_min_end()
     nxt = sam.next
     phrases: list[LZPhrase] = []
@@ -125,8 +129,9 @@ def measure(s: Text | bytes) -> MeasureReport:
         raise ValueError("empty input")
     sigma = s.sigma if isinstance(s, Text) else (max(syms) if syms else 1)
     rle = rle_runs(syms)
-    z = len(lz77(syms, allow_overlap=True))
-    z_no = len(lz77(syms, allow_overlap=False))
+    sam = SuffixAutomaton(syms)
+    z = len(_parse(syms, sam, allow_overlap=True))
+    z_no = len(_parse(syms, sam, allow_overlap=False))
     n = len(syms)
     if not (z <= z_no <= n and rle <= n and z <= 2 * rle):
         raise AssertionError(

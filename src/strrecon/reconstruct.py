@@ -78,6 +78,13 @@ def discover_alphabet(o) -> int:
     return lo
 
 
+def _check_sigma(o, sigma: int) -> None:
+    """Fail before any query when symbols of the hidden string lie above sigma
+    (the reconstructors would never probe them and return a wrong string)."""
+    if sigma < o.sigma:
+        raise ValueError(f"sigma {sigma} is below the oracle's alphabet size {o.sigma}")
+
+
 def _max_true(pred, known: int = 1, cap: int | None = None) -> int:
     """Largest l with pred(l) true, for monotone pred with pred(known) true.
 
@@ -106,6 +113,7 @@ def reconstruct_naive(o, sigma: int) -> ReconstructionReport:
     """Symbol-by-symbol reconstruction: at most sigma*(n+2) substring queries
     (each recovered symbol costs <= sigma probes, plus one full round of
     failures per direction)."""
+    _check_sigma(o, sigma)
     contains = o.contains_substring
     buf = bytearray()
     fwd = 0
@@ -150,6 +158,7 @@ def reconstruct_rle(o, sigma: int) -> ReconstructionReport:
     Each accepted run is maximal at its (unique, by the suffix invariant)
     occurrence, so the same symbol cannot start the next run and is skipped.
     """
+    _check_sigma(o, sigma)
     contains = o.contains_substring
     known = bytearray()
     skip = 0
@@ -200,6 +209,19 @@ def reconstruct_rle(o, sigma: int) -> ReconstructionReport:
         algorithm="rle",
         extras={"run_steps": fwd + bwd},
     )
+
+
+def _memoized(query):
+    """query(t), asked at most once per distinct candidate t."""
+    memo: dict[bytes, bool] = {}
+
+    def ext(t: bytes) -> bool:
+        a = memo.get(t)
+        if a is None:
+            a = memo[t] = bool(query(t))
+        return a
+
+    return ext
 
 
 def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, ext) -> bytes:
@@ -262,17 +284,7 @@ def lz_phrase_search(r: Text, st: SuffixTree, ct: CentroidTree, extend) -> Text:
     """One phrase step: the longest substring t of r (a path in st) for
     which extend(t) answers true. extend receives the candidate extension as
     bytes; results are memoized for the duration of the call."""
-    snap = st.snapshot()
-    memo: dict[bytes, bool] = {}
-
-    def ext(t: bytes) -> bool:
-        a = memo.get(t)
-        if a is None:
-            a = bool(extend(t))
-            memo[t] = a
-        return a
-
-    return Text(_phrase_search(snap, ct, ext), r.sigma)
+    return Text(_phrase_search(st.snapshot(), ct, _memoized(extend)), r.sigma)
 
 
 class _ForwardSubstring:
@@ -345,17 +357,8 @@ def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
     records.append((ct.size, ct.height, ct.balanced))
     snap_len = len(seed)
     phrases = 0
-    query = model.query
     while True:
-        memo: dict[bytes, bool] = {}
-
-        def ext(t: bytes, _m=memo, _q=query) -> bool:
-            a = _m.get(t)
-            if a is None:
-                a = _q(t)
-                _m[t] = a
-            return a
-
+        ext = _memoized(model.query)
         phrase = _phrase_search(snap, ct, ext)
         if not phrase:
             for c in range(1, sigma + 1):
@@ -379,6 +382,7 @@ def reconstruct_lz_prefix(o, sigma: int) -> ReconstructionReport:
     """Phrase-at-a-time reconstruction against a prefix oracle. When neither
     a phrase nor any fresh symbol extends the known prefix, it is the whole
     string."""
+    _check_sigma(o, sigma)
     records: list = []
     model = _ForwardPrefix(o, b"")
     phrases = _lz_grow(sigma, model, b"", records)
@@ -396,6 +400,7 @@ def reconstruct_lz_substring(o, sigma: int) -> ReconstructionReport:
     """Phrase-at-a-time reconstruction with substring queries only: forward
     until the known string is (provably) a suffix, then the same machinery
     on the reversed string until it is also a prefix."""
+    _check_sigma(o, sigma)
     records: list = []
     fwd_model = _ForwardSubstring(o, b"")
     pf = _lz_grow(sigma, fwd_model, b"", records)

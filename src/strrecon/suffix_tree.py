@@ -3,28 +3,18 @@
 No terminal sentinel is ever appended: the tree is the implicit suffix tree,
 so suffixes that are proper prefixes of other suffixes have no leaf. Edge
 labels are position intervals into the shared text.
+
+The live tree is kept in flat per-node lists indexed by node id (creation
+order, root 0). Ukkonen's algorithm creates leaves in increasing order of
+suffix start and never removes one, so the oldest leaf below a node marks the
+first occurrence of its locus; a split node takes it over from the child it
+splits, and a snapshot is a plain copy of the lists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .text import Text, to_letters
-
-
-class Node:
-    __slots__ = ("id", "start", "end", "children", "slink", "parent", "depth")
-
-    def __init__(self, id_: int, start: int, end: int | None, parent: "Node | None", depth: int | None):
-        self.id = id_
-        self.start = start           # edge label = text[start:end], end None = open
-        self.end = end
-        self.children: dict[int, Node] = {}
-        self.slink: Node | None = None
-        self.parent = parent
-        self.depth = depth           # string depth; None for leaves (grows with text)
-
-    def is_leaf(self) -> bool:
-        return self.end is None
 
 
 @dataclass
@@ -59,10 +49,14 @@ class SuffixTree:
             raise ValueError("sigma must be >= 1")
         self.sigma = sigma
         self.text = bytearray()
-        root = Node(0, 0, 0, None, 0)
-        self._nodes: list[Node] = [root]
-        self.root = root
-        self._active_node = root
+        self._start = [0]        # edge label = text[start:end]
+        self._end = [0]          # -1 = open leaf edge, growing with the text
+        self._parent = [-1]
+        self._depth = [0]        # string depth; unused for leaves (see string_depth)
+        self._first = [0]        # start of the first occurrence of the locus
+        self._children: list[dict[int, int]] = [{}]  # first edge symbol -> child id
+        self._slink = [0]
+        self._active_node = 0
         self._active_edge = 0
         self._active_len = 0
         self._remainder = 0
@@ -72,101 +66,105 @@ class SuffixTree:
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self._start)
 
-    def nodes(self) -> list[Node]:
-        return list(self._nodes)
-
-    def node(self, node_id: int) -> Node:
-        try:
-            return self._nodes[node_id]
-        except IndexError:
-            raise KeyError(f"unknown node id {node_id}") from None
-
-    def _new_node(self, start: int, end: int | None, parent: Node | None, depth: int | None) -> Node:
-        node = Node(len(self._nodes), start, end, parent, depth)
-        self._nodes.append(node)
-        return node
+    def _new_node(self, start: int, end: int, parent: int, depth: int, first: int) -> int:
+        self._start.append(start)
+        self._end.append(end)
+        self._parent.append(parent)
+        self._depth.append(depth)
+        self._first.append(first)
+        self._children.append({})
+        self._slink.append(0)
+        return len(self._start) - 1
 
     def append(self, c: int) -> None:
         """Add one symbol; the tree then represents all suffixes of text+c."""
-        if not 1 <= c <= self.sigma:
-            raise ValueError(f"symbol {c} out of range [1..{self.sigma}]")
-        text = self.text
-        text.append(c)
-        pos = len(text) - 1
-        self._remainder += 1
-        last_internal: Node | None = None
-        root = self.root
-        while self._remainder:
-            if self._active_len == 0:
-                self._active_edge = pos
-            a_sym = text[self._active_edge]
-            node = self._active_node
-            child = node.children.get(a_sym)
-            if child is None:
-                leaf = self._new_node(pos, None, node, None)
-                node.children[a_sym] = leaf
-                if last_internal is not None:
-                    last_internal.slink = node
-                    last_internal = None
-            else:
-                edge_len = (child.end if child.end is not None else len(text)) - child.start
-                if self._active_len >= edge_len:
-                    self._active_edge += edge_len
-                    self._active_len -= edge_len
-                    self._active_node = child
-                    continue
-                if text[child.start + self._active_len] == c:
-                    self._active_len += 1
-                    if last_internal is not None:
-                        last_internal.slink = node
-                    break
-                split = self._new_node(
-                    child.start,
-                    child.start + self._active_len,
-                    node,
-                    (node.depth or 0) + self._active_len,
-                )
-                node.children[a_sym] = split
-                leaf = self._new_node(pos, None, split, None)
-                split.children[c] = leaf
-                child.start += self._active_len
-                child.parent = split
-                split.children[text[child.start]] = child
-                if last_internal is not None:
-                    last_internal.slink = split
-                last_internal = split
-            self._remainder -= 1
-            if self._active_node is root and self._active_len > 0:
-                self._active_len -= 1
-                self._active_edge = pos - self._remainder + 1
-            elif self._active_node is not root:
-                self._active_node = self._active_node.slink or root
+        self.extend((c,))
 
     def extend(self, chunk) -> None:
+        """Append the symbols of chunk in order, with Ukkonen's algorithm."""
+        chunk = bytes(chunk)
+        if chunk and not (min(chunk) >= 1 and max(chunk) <= self.sigma):
+            raise ValueError(f"symbols {min(chunk)}..{max(chunk)} out of range [1..{self.sigma}]")
+        text = self.text
+        start, end, parent, depth = self._start, self._end, self._parent, self._depth
+        first, children, slink = self._first, self._children, self._slink
+        new_node = self._new_node
+        active_node, active_edge, active_len = self._active_node, self._active_edge, self._active_len
+        remainder = self._remainder
         for c in chunk:
-            self.append(c)
+            pos = len(text)
+            text.append(c)
+            remainder += 1
+            last_internal = 0  # split node awaiting its suffix link; 0 = none
+            while remainder:
+                if active_len == 0:
+                    active_edge = pos
+                a_sym = text[active_edge]
+                node = active_node
+                child = children[node].get(a_sym)
+                if child is None:
+                    children[node][a_sym] = new_node(pos, -1, node, 0, pos - depth[node])
+                    if last_internal:
+                        slink[last_internal] = node
+                        last_internal = 0
+                else:
+                    cs = start[child]
+                    e = end[child]
+                    edge_len = (e if e >= 0 else pos + 1) - cs
+                    if active_len >= edge_len:
+                        active_edge += edge_len
+                        active_len -= edge_len
+                        active_node = child
+                        continue
+                    if text[cs + active_len] == c:
+                        active_len += 1
+                        if last_internal:
+                            slink[last_internal] = node
+                        break
+                    split = new_node(cs, cs + active_len, node, depth[node] + active_len, first[child])
+                    children[node][a_sym] = split
+                    children[split][c] = new_node(pos, -1, split, 0, pos - depth[split])
+                    start[child] = cs + active_len
+                    parent[child] = split
+                    children[split][text[cs + active_len]] = child
+                    if last_internal:
+                        slink[last_internal] = split
+                    last_internal = split
+                remainder -= 1
+                if active_node == 0 and active_len > 0:
+                    active_len -= 1
+                    active_edge = pos - remainder + 1
+                elif active_node != 0:
+                    active_node = slink[active_node]
+        self._active_node, self._active_edge, self._active_len = active_node, active_edge, active_len
+        self._remainder = remainder
 
-    def string_depth(self, node: Node) -> int:
-        if node.depth is not None:
-            return node.depth
-        return (node.parent.depth or 0) + len(self.text) - node.start
+    def is_leaf(self, v: int) -> bool:
+        return self._end[v] < 0
+
+    def string_depth(self, v: int) -> int:
+        if self.is_leaf(v):
+            return len(self.text) - self._first[v]
+        return self._depth[v]
 
     def contains(self, q) -> bool:
         """Substring membership by edge traversal."""
         if isinstance(q, Text):
             q = q.symbols
         text = self.text
-        node = self.root
+        node = 0
         i = 0
         m = len(q)
         while i < m:
-            child = node.children.get(q[i])
+            child = self._children[node].get(q[i])
             if child is None:
                 return False
-            end = child.end if child.end is not None else len(text)
-            j = child.start
+            end = self._end[child]
+            if end < 0:
+                end = len(text)
+            j = self._start[child]
             while j < end and i < m:
                 if text[j] != q[i]:
                     return False
@@ -177,37 +175,17 @@ class SuffixTree:
 
     def leaf_suffix_starts(self) -> list[int]:
         """Start positions of suffixes that have an explicit leaf."""
-        n = len(self.text)
-        return sorted(
-            n - self.string_depth(v) for v in self._nodes if v.is_leaf()
-        )
-
-    def first_occurrence(self, node: Node) -> int:
-        """0-based start of the first occurrence of locus(node)."""
-        if node is self.root:
-            return 0
-        n = len(self.text)
-        best = n
-        stack = [node]
-        while stack:
-            v = stack.pop()
-            if v.is_leaf():
-                start = n - self.string_depth(v)
-                if start < best:
-                    best = start
-            else:
-                stack.extend(v.children.values())
-        # an internal node always has leaves below it in an implicit tree
-        return best
+        return sorted(f for f, e in zip(self._first, self._end) if e < 0)
 
     def locus_interval(self, node_id: int) -> tuple[int, int]:
         """1-based inclusive interval [i, j] such that text[i..j] spells
         locus(node), using the first occurrence; the root yields (1, 0)."""
-        node = self.node(node_id)
-        d = self.string_depth(node)
+        if not 0 <= node_id < self.node_count:
+            raise KeyError(f"unknown node id {node_id}")
+        d = self.string_depth(node_id)
         if d == 0:
             return (1, 0)
-        f = self.first_occurrence(node)
+        f = self._first[node_id]
         return (f + 1, f + d)
 
     def locus(self, node_id: int) -> bytes:
@@ -215,39 +193,11 @@ class SuffixTree:
         return bytes(self.text[i - 1 : j])
 
     def snapshot(self) -> TreeSnapshot:
-        """Freeze the current tree into arrays indexed by node id."""
-        m = len(self._nodes)
+        """Copy the current tree into arrays indexed by node id."""
         n = len(self.text)
-        depth = [0] * m
-        parent = [-1] * m
-        children: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        first = [n] * m
-        text = self.text
-        order: list[Node] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            vid = v.id
-            if v.is_leaf():
-                d = depth[parent[vid]] + n - v.start if vid else 0
-                depth[vid] = d
-                first[vid] = n - d
-            else:
-                depth[vid] = v.depth or 0
-                kids = sorted(v.children.items())
-                children[vid] = [(sym, ch.id) for sym, ch in kids]
-                for _, ch in kids:
-                    parent[ch.id] = vid
-                stack.extend(ch for _, ch in reversed(kids))
-        for v in reversed(order):
-            vid = v.id
-            p = parent[vid]
-            if p >= 0 and first[vid] < first[p]:
-                first[p] = first[vid]
-        if m == 1:
-            first[0] = 0
-        return TreeSnapshot(bytes(text), depth, parent, children, first)
+        depth = [n - f if e < 0 else d for d, f, e in zip(self._depth, self._first, self._end)]
+        children = [sorted(kids.items()) for kids in self._children]
+        return TreeSnapshot(bytes(self.text), depth, self._parent[:], children, self._first[:])
 
     def dump(self) -> str:
         """Indented text rendering: node id, interval, spelled label."""

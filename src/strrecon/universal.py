@@ -341,11 +341,12 @@ def reconstruct_universal(o, n: int, c: Compressor, cap: int = DEFAULT_CAP) -> R
 class _RecordingOracle:
     """Passes queries through to a real oracle, recording each answer bit."""
 
-    __slots__ = ("_o", "bits")
+    __slots__ = ("_o", "bits", "sigma")
 
     def __init__(self, o: Oracle):
         self._o = o
         self.bits: list[int] = []
+        self.sigma = o.sigma
 
     def contains_substring(self, q) -> bool:
         a = self._o.contains_substring(q)
@@ -364,10 +365,11 @@ class _RecordingOracle:
 class _ReplayOracle:
     """Answers queries from a prerecorded bit list, in order."""
 
-    __slots__ = ("_bits", "pos", "_stats")
+    __slots__ = ("_bits", "pos", "_stats", "sigma")
 
-    def __init__(self, bits: Sequence[int]):
+    def __init__(self, bits: Sequence[int], sigma: int):
         self._bits = bits
+        self.sigma = sigma
         self.pos = 0
         self._stats = QueryStats()
 
@@ -417,7 +419,7 @@ class ReconstructorCodec:
         return tuple(rec.bits)
 
     def decompress(self, bits: Sequence[int]) -> Text:
-        replay = _ReplayOracle(bits)
+        replay = _ReplayOracle(bits, self.sigma)
         report = self.algo(replay, self.sigma)
         if replay.pos != len(bits):
             raise ValueError("trailing bits after reconstruction finished")

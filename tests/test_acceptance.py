@@ -267,8 +267,8 @@ def test_criterion_10_golden_values(capfd):
     tree.extend(from_letters("AAABCABCABCAAA").symbols)
     target = from_letters("ABCABCA").symbols
     loci = [
-        v.id for v in tree.nodes()
-        if not v.is_leaf() and tree.locus(v.id) == target
+        v for v in range(tree.node_count)
+        if not tree.is_leaf(v) and tree.locus(v) == target
     ]
     tree_ok = len(loci) == 1 and tree.locus_interval(loci[0]) == (3, 9)
     # "aa" is why z_no <= rle is not claimed: two phrases, one run

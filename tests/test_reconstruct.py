@@ -60,6 +60,16 @@ def test_random_strings_are_recovered(algo, hidden):
     check_exact(algo, hidden)
 
 
+@pytest.mark.parametrize("algo", ALGOS, ids=ALGO_NAMES)
+def test_sigma_below_oracle_alphabet_is_rejected(algo):
+    # with sigma 2 the symbol c is never probed, so "abcabcab" would come
+    # back as "ab"; the mismatch is caught before any query
+    o = Oracle(from_letters("abcabcab"))
+    with pytest.raises(ValueError):
+        algo(o, 2)
+    assert o.stats().total_queries == 0
+
+
 @pytest.mark.parametrize("name", ALGO_NAMES)
 def test_query_bounds_hold_on_families(name):
     for family, n, sigma in [

@@ -33,7 +33,7 @@ def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         tree.append(0)
     with pytest.raises(KeyError):
-        tree.node(99)
+        tree.locus_interval(99)
 
 
 @given(strings)
@@ -77,7 +77,7 @@ def test_first_occurrence_is_leftmost(s):
     for v in range(snap.size):
         loc = snap.locus(v)
         assert snap.first_occ[v] == s.find(loc)
-        assert tree.first_occurrence(tree.node(v)) == s.find(loc)
+        assert tree.locus_interval(v)[0] - 1 == s.find(loc)
 
 
 @given(strings)
@@ -108,8 +108,8 @@ def test_fixture_locus_interval():
     tree.extend(from_letters("AAABCABCABCAAA").symbols)
     target = from_letters("ABCABCA").symbols
     hits = [
-        v.id for v in tree.nodes()
-        if not v.is_leaf() and tree.locus(v.id) == target
+        v for v in range(tree.node_count)
+        if not tree.is_leaf(v) and tree.locus(v) == target
     ]
     assert len(hits) == 1
     assert tree.locus_interval(hits[0]) == (3, 9)
@@ -140,12 +140,18 @@ def test_dump_renders_every_node():
 @settings(max_examples=150)
 def test_online_build_matches_batch_build(s):
     online = SuffixTree(3)
+    kept = []
     for i, c in enumerate(s):
         online.append(c)
         prefix = s[: i + 1]
         for q in all_substrings(prefix):
             assert online.contains(q)
+        kept.append(online.snapshot())
     assert online.node_count == build(s, 3).node_count
+    # later appends (and their splits) leave earlier snapshots untouched,
+    # and first_occ kept up online equals that of a batch build
+    for i, snap in enumerate(kept):
+        assert snap == build(s[: i + 1], 3).snapshot()
 
 
 def test_node_count_is_linear():
