@@ -5,12 +5,11 @@ from .bench import CSV_HEADER, ExperimentRow, emit_csv, parse_csv, parse_sweep, 
 from .centroid import CentroidTree, centroid_decompose
 from .families import generate
 from .measures import LZFactorization, LZPhrase, MeasureReport, lz77, measure, rle_runs
-from .oracle import Oracle, QueryStats, SentinelPrefixView
+from .oracle import Oracle, QueryStats
 from .reconstruct import (
     Phase,
     ReconstructionError,
     ReconstructionReport,
-    discover_alphabet,
     lz_phrase_search,
     reconstruct_lz_prefix,
     reconstruct_lz_substring,
@@ -47,14 +46,12 @@ __all__ = [
     "ReconstructionError",
     "ReconstructionReport",
     "RunLengthBits",
-    "SentinelPrefixView",
     "SplitterResult",
     "SuffixTree",
     "Text",
     "TreeSnapshot",
     "centroid_decompose",
     "compressor_from_reconstructor",
-    "discover_alphabet",
     "emit_csv",
     "enumerate_candidates",
     "find_splitter",

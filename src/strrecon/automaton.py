@@ -1,8 +1,7 @@
 """Suffix automaton: a linear-size index of all substrings of a string.
 
-Used as the factorization engine in :mod:`strrecon.measures` (it knows, for
-every substring, the end position of its first occurrence) and available as
-an alternative membership index.
+Used as the factorization engine in :mod:`strrecon.measures`: it knows, for
+every substring, the end position of its first occurrence.
 """
 from __future__ import annotations
 
@@ -54,15 +53,6 @@ class SuffixAutomaton:
                 link[cur] = clone
         self.last = cur
         self._min_end = None
-
-    def contains(self, q) -> bool:
-        state = 0
-        nxt = self.next
-        for c in q:
-            state = nxt[state].get(c, -1)
-            if state < 0:
-                return False
-        return True
 
     def finalize_min_end(self) -> list[int]:
         """For each state, the minimum end position over all its occurrences."""

@@ -65,50 +65,44 @@ class ExperimentRow:
     bound_ok: bool
 
 
-def naive_bound(n: int, sigma: int) -> float:
-    return sigma * (n + 2)
+def _lz_bound(rep: ReconstructionReport, m: MeasureReport) -> float:
+    return 8 * m.sigma * rep.phrases_emitted * (math.log2(m.n) + 2) if m.n > 0 else 0.0
 
 
-def rle_bound(n: int, sigma: int, rle: int) -> float:
-    return 4 * rle * (sigma + max(0.0, math.log2(n / rle)) + 2)
-
-
-def lz_bound(n: int, sigma: int, phrases: int) -> float:
-    return 8 * sigma * phrases * (math.log2(n) + 2) if n > 0 else 0.0
-
-def universal_bound(code_length: int) -> float:
-    return 15 * code_length + 25
+# algorithm name -> (the QueryStats counter it is charged on, its bound)
+_BOUNDS = {
+    "naive": ("substring_queries", lambda rep, m: m.sigma * (m.n + 2)),
+    "rle": ("substring_queries",
+            lambda rep, m: 4 * m.rle * (m.sigma + max(0.0, math.log2(m.n / m.rle)) + 2)),
+    "lz-prefix": ("prefix_queries", _lz_bound),
+    "lz-substring": ("substring_queries", _lz_bound),
+    **{f"universal-{name}": ("substring_queries",
+                             lambda rep, m: 15 * rep.extras["code_length"] + 25)
+       for name in COMPRESSORS},
+}
 
 
 def bound_holds(algo: str, rep: ReconstructionReport, m: MeasureReport) -> bool:
-    st = rep.stats
-    if algo == "naive":
-        return st.substring_queries <= naive_bound(m.n, m.sigma)
-    if algo == "rle":
-        return st.substring_queries <= rle_bound(m.n, m.sigma, m.rle)
-    if algo == "lz-prefix":
-        return st.prefix_queries <= lz_bound(m.n, m.sigma, rep.phrases_emitted)
-    if algo == "lz-substring":
-        return st.substring_queries <= lz_bound(m.n, m.sigma, rep.phrases_emitted)
-    if algo.startswith("universal-"):
-        return st.substring_queries <= universal_bound(rep.extras["code_length"])
-    raise ValueError(f"unknown algorithm {algo!r}")
+    if algo not in _BOUNDS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    counter, bound = _BOUNDS[algo]
+    return getattr(rep.stats, counter) <= bound(rep, m)
 
 
 def run_one(algo: str, hidden: Text, family: str = "-",
             report: MeasureReport | None = None) -> ExperimentRow:
     """One experiment on a fresh oracle; raises if reconstruction is inexact."""
+    if algo not in _BOUNDS:
+        raise ValueError(f"unknown algorithm {algo!r}")
     if report is None:
         report = measure(hidden)
     oracle = Oracle(hidden)
     start = time.perf_counter()
     if algo in ALGORITHMS:
         rep = ALGORITHMS[algo](oracle, hidden.sigma)
-    elif algo.startswith("universal-"):
+    else:
         comp = COMPRESSORS[algo.removeprefix("universal-")]
         rep = reconstruct_universal(oracle, len(hidden), comp)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
     ms = round((time.perf_counter() - start) * 1000)
     exact = rep.recovered.symbols == hidden.symbols
     if not exact:

@@ -164,40 +164,3 @@ class Oracle:
 
     def stats(self) -> QueryStats:
         return self._stats.snapshot()
-
-    def as_prefix_oracle_via_sentinel(self) -> "SentinelPrefixView":
-        """A prefix-query view answered by substring queries on $-prepended text."""
-        return SentinelPrefixView(self)
-
-
-class SentinelPrefixView:
-    """Prefix queries reduced to substring queries via a leading sentinel.
-
-    The view searches for 0·q inside 0·hidden (0 is below every user
-    alphabet), so each is_prefix costs one substring query on the shared
-    stats of the underlying oracle.
-    """
-
-    __slots__ = ("_base", "_engine", "sigma")
-
-    def __init__(self, base: Oracle):
-        self._base = base
-        self._engine = _ScanEngine(b"\x00" + base._hidden)
-        self.sigma = base.sigma
-
-    def __len__(self) -> int:
-        return len(self._base)
-
-    def is_prefix(self, q) -> bool:
-        if isinstance(q, Text):
-            q = q.symbols
-        st = self._base._stats
-        st.substring_queries += 1
-        m = len(q) + 1
-        st.total_queried_symbols += m
-        if m > st.max_query_length:
-            st.max_query_length = m
-        return self._engine.contains(b"\x00" + bytes(q))
-
-    def stats(self) -> QueryStats:
-        return self._base.stats()

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .centroid import CentroidTree, decompose_snapshot
 from .oracle import QueryStats
 from .suffix_tree import SuffixTree, TreeSnapshot
-from .text import MAX_SIGMA, Text
+from .text import Text
 
 # Snapshots of the phrase-search structures are refreshed only after the
 # known string grows by this factor; between refreshes the search runs on a
@@ -52,30 +52,6 @@ class ReconstructionReport:
     algorithm: str
     phrases_emitted: int = 0
     extras: dict = field(default_factory=dict)
-
-
-def discover_alphabet(o) -> int:
-    """Largest symbol occurring in the hidden string, by galloping then
-    binary searching on single-symbol queries: O(log sigma) queries.
-
-    Assumes every symbol of [1..sigma] occurs (otherwise this returns the
-    largest v such that v occurs and all gallop/bisection probes below v
-    succeeded, i.e. an underestimate).
-    """
-    contains = o.contains_substring
-    lo = 1
-    hi = 2
-    while hi <= MAX_SIGMA and contains(bytes((hi,))):
-        lo = hi
-        hi <<= 1
-    hi = min(hi, MAX_SIGMA + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if contains(bytes((mid,))):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _check_sigma(o, sigma: int) -> None:

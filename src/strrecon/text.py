@@ -1,7 +1,7 @@
 """Symbol sequences over dense integer alphabets.
 
 Strings are stored as ``bytes`` whose values are symbols in ``[1..sigma]``.
-Value 0 is reserved as a sentinel and never appears in user alphabets.
+Value 0 is reserved and never appears in user alphabets.
 """
 from __future__ import annotations
 

@@ -23,6 +23,7 @@ from .text import Text
 
 DEFAULT_CAP = 16
 _BASE_CASE = 5  # below this, candidates are cheaper to query in full
+_TO_BITS = bytes.maketrans(b"\x01\x02", b"01")  # symbols 1/2 as bits 0/1
 
 
 class Compressor(Protocol):
@@ -130,8 +131,7 @@ class CandidateSet:
         return len(self.members)
 
 
-def enumerate_candidates(n: int, k: int, c: Compressor, cap: int = DEFAULT_CAP) -> CandidateSet:
-    """Exact candidate set by enumerating all 2^n strings (hence the cap)."""
+def _check_n(n: int, cap: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > cap:
@@ -139,11 +139,14 @@ def enumerate_candidates(n: int, k: int, c: Compressor, cap: int = DEFAULT_CAP) 
             f"n={n} exceeds the enumeration cap {cap}; this walks all 2^n "
             f"strings, so raise cap= only if that cost is acceptable"
         )
-    code_len = _code_lengths(c, n)
+
+
+def enumerate_candidates(n: int, k: int, c: Compressor, cap: int = DEFAULT_CAP) -> CandidateSet:
+    """Exact candidate set by enumerating all 2^n strings (hence the cap)."""
+    _check_n(n, cap)
     strings = _universe(n).strings
-    members = frozenset(
-        Text(strings[i], 2) for i in range(1 << n) if code_len[i] <= k
-    )
+    bits = f"{_candidate_mask(c, n, k):b}"[::-1]  # bit i set: string i fits
+    members = frozenset(Text(strings[i], 2) for i, b in enumerate(bits) if b == "1")
     return CandidateSet(n, members, k)
 
 
@@ -165,29 +168,13 @@ def find_splitter(m: CandidateSet) -> SplitterResult:
     split is returned flagged."""
     if len(m.members) < 2:
         raise ValueError("need at least two candidates to split")
-    members = sorted(m.members, key=lambda t: t.symbols)
-    subs = set()
-    for t in members:
-        s = t.symbols
-        for i in range(len(s)):
-            for j in range(i + 1, len(s) + 1):
-                subs.add(s[i:j])
-    msize = len(members)
-    lo = -(-msize // 5)
-    hi = (4 * msize) // 5
-    best = None
-    best_score = None
-    for q in sorted(subs, key=lambda s: (len(s), s)):
-        contained = frozenset(t for t in members if q in t.symbols)
-        cnt = len(contained)
-        if lo <= cnt <= hi:
-            return SplitterResult(Text(q, 2), contained, False)
-        score = abs(2 * cnt - msize)
-        if best_score is None or score < best_score:
-            best = SplitterResult(Text(q, 2), contained, True)
-            best_score = score
-    assert best is not None
-    return best
+    _check_n(m.n, DEFAULT_CAP)
+    if any(t.sigma != 2 for t in m.members):
+        raise ValueError("members must be binary (sigma 2)")
+    index = {int(t.symbols.translate(_TO_BITS), 2): t for t in m.members}
+    q, qmask, flagged = _select_splitter(m.n, sum(1 << i for i in index))
+    contained = frozenset(t for i, t in index.items() if qmask >> i & 1)
+    return SplitterResult(Text(q, 2), contained, flagged)
 
 
 class _Universe:
@@ -195,7 +182,7 @@ class _Universe:
     sub_list enumerates every possible nonempty query shortest-then-lex with
     its membership bitmask over the 2^n strings."""
 
-    __slots__ = ("strings", "sub_list", "sub_mask")
+    __slots__ = ("strings", "sub_list")
 
     def __init__(self, n: int):
         count = 1 << n
@@ -213,7 +200,6 @@ class _Universe:
             for q in seen:
                 sub_mask[q] = sub_mask.get(q, 0) | bit
         self.strings = strings
-        self.sub_mask = sub_mask
         self.sub_list = sorted(sub_mask.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
@@ -253,8 +239,8 @@ def _candidate_mask(c: Compressor, n: int, k: int) -> int:
 
 
 def _select_splitter(n: int, m_mask: int) -> tuple[bytes, int, bool]:
-    """Mask-level twin of find_splitter, memoized per candidate set so the
-    decision tree is shared across hidden strings."""
+    """find_splitter over the bitmask m_mask of candidate indices, memoized
+    per candidate set so the decision tree is shared across hidden strings."""
     memo = _splitter_memo.setdefault(n, {})
     hit = memo.get(m_mask)
     if hit is not None:
@@ -287,13 +273,7 @@ def reconstruct_universal(o, n: int, c: Compressor, cap: int = DEFAULT_CAP) -> R
     candidate sets under an exponentially growing code budget. Every answer
     is verified with a full-length query (an equality test) before being
     returned."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > cap:
-        raise ValueError(
-            f"n={n} exceeds the enumeration cap {cap}; this walks all 2^n "
-            f"strings, so raise cap= only if that cost is acceptable"
-        )
+    _check_n(n, cap)
     uni = _universe(n)
     code_len = _code_lengths(c, n)
     max_k = max(code_len)
@@ -363,38 +343,26 @@ class _RecordingOracle:
 
 
 class _ReplayOracle:
-    """Answers queries from a prerecorded bit list, in order."""
+    """Answers queries from a prerecorded bit list, in order. It keeps no
+    query accounting: decompress discards the report."""
 
-    __slots__ = ("_bits", "pos", "_stats", "sigma")
+    __slots__ = ("_bits", "pos", "sigma")
 
     def __init__(self, bits: Sequence[int], sigma: int):
         self._bits = bits
         self.sigma = sigma
         self.pos = 0
-        self._stats = QueryStats()
-
-    def _answer(self, q) -> bool:
-        if self.pos >= len(self._bits):
-            raise ValueError("code exhausted before the algorithm finished")
-        a = self._bits[self.pos]
-        self.pos += 1
-        st = self._stats
-        m = len(q)
-        st.total_queried_symbols += m
-        if m > st.max_query_length:
-            st.max_query_length = m
-        return bool(a)
 
     def contains_substring(self, q) -> bool:
-        self._stats.substring_queries += 1
-        return self._answer(q)
+        if self.pos >= len(self._bits):
+            raise ValueError("code exhausted before the algorithm finished")
+        self.pos += 1
+        return bool(self._bits[self.pos - 1])
 
-    def is_prefix(self, q) -> bool:
-        self._stats.prefix_queries += 1
-        return self._answer(q)
+    is_prefix = contains_substring
 
     def stats(self) -> QueryStats:
-        return self._stats.snapshot()
+        return QueryStats()
 
 
 class ReconstructorCodec:

@@ -34,7 +34,6 @@ def test_matches_brute_force_scan(s, q):
     expected_sub = any(s[i : i + len(q)] == q for i in range(len(s) - len(q) + 1))
     assert o.contains_substring(q) == expected_sub
     assert o.is_prefix(q) == (s[: len(q)] == q)
-    assert o.as_prefix_oracle_via_sentinel().is_prefix(q) == (s[: len(q)] == q)
 
 
 @given(strings, queries)
@@ -75,18 +74,6 @@ def test_stats_returns_a_snapshot():
     o.contains_substring(b"\x01")
     assert before.substring_queries == 0
     assert o.stats().substring_queries == 1
-
-
-def test_sentinel_view_counts_as_substring_queries():
-    o = Oracle(mk(b"\x01\x02"))
-    view = o.as_prefix_oracle_via_sentinel()
-    assert view.is_prefix(b"\x01")
-    assert not view.is_prefix(b"\x02")
-    st_ = o.stats()
-    assert st_.substring_queries == 2
-    assert st_.prefix_queries == 0
-    # sentinel-extended lengths: each query gains one leading symbol
-    assert st_.total_queried_symbols == 2 + 2
 
 
 def test_bytearray_and_text_queries_accepted():

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +11,6 @@ from strrecon import (
     SuffixTree,
     Text,
     centroid_decompose,
-    discover_alphabet,
     from_letters,
     generate,
     lz_phrase_search,
@@ -160,26 +158,6 @@ def test_phrase_search_empty_when_nothing_extends():
     assert phrase.symbols == b""
 
 
-def test_discover_alphabet_counts_and_values():
-    for sigma in (1, 2, 3, 7, 26, 26 * 2):
-        hidden = Text(bytes(range(1, sigma + 1)), sigma)
-        o = Oracle(hidden)
-        assert discover_alphabet(o) == sigma
-        # gallop + bisect: a small logarithmic number of queries
-        assert o.stats().total_queries <= 2 * max(1, sigma.bit_length()) + 2
-
-
-def test_discover_alphabet_then_reconstruct():
-    rng = random.Random(6)
-    syms = bytes(rng.randint(1, 9) for _ in range(60)) + bytes(range(1, 10))
-    hidden = Text(syms, 9)
-    o = Oracle(hidden)
-    sigma = discover_alphabet(o)
-    assert sigma == 9
-    rep = reconstruct_rle(o, sigma)
-    assert rep.recovered.symbols == hidden.symbols
-
-
 def test_max_true_exact_over_small_domain():
     for answer in range(1, 70):
         calls = 0
@@ -203,8 +181,11 @@ def test_max_true_respects_cap():
 def test_bound_holds_rejects_unknown_algorithm():
     hidden = Text(b"\x01\x02", 2)
     rep = reconstruct_naive(Oracle(hidden), 2)
-    with pytest.raises(ValueError):
-        bound_holds("nope", rep, measure(hidden))
+    for name in ("nope", "universal-nope"):
+        with pytest.raises(ValueError):
+            bound_holds(name, rep, measure(hidden))
+        with pytest.raises(ValueError):
+            run_one(name, hidden)
 
 
 @pytest.mark.parametrize("name", ALGO_NAMES)

@@ -16,7 +16,7 @@ def test_validation():
     with pytest.raises(ValueError):
         Text(b"\x03", 2)
     with pytest.raises(ValueError):
-        Text(b"\x00", 2)  # 0 is the reserved sentinel
+        Text(b"\x00", 2)  # 0 is reserved
     assert len(Text(b"", 1)) == 0
 
 

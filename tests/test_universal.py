@@ -22,7 +22,7 @@ from strrecon import (
     reconstruct_rle,
     reconstruct_universal,
 )
-from strrecon.universal import elias_gamma, elias_gamma_decode
+from strrecon.universal import DEFAULT_CAP, elias_gamma, elias_gamma_decode
 
 
 def all_binary(n: int):
@@ -120,10 +120,16 @@ def test_candidate_set_validation():
 
 
 def test_rle_budget_keeps_only_compressible_strings():
+    for comp in (IdentityBits(), RunLengthBits()):
+        for n in range(1, 11):
+            strings = list(all_binary(n))
+            lengths = [len(comp.compress(t)) for t in strings]
+            for k in range(2 * n + 3):
+                m = enumerate_candidates(n, k, comp)
+                assert m.members == frozenset(
+                    t for t, l in zip(strings, lengths) if l <= k
+                )
     m = enumerate_candidates(10, 8, RunLengthBits())
-    comp = RunLengthBits()
-    for t in all_binary(10):
-        assert (t in m.members) == (len(comp.compress(t)) <= 8)
     # a single run of 10 costs 1 symbol bit + 7 gamma bits
     assert from_bits("0" * 10) in m.members
     assert from_bits("01" * 5) not in m.members
@@ -158,15 +164,46 @@ def test_splitter_all_length_two():
 def test_splitter_needs_two_members():
     with pytest.raises(ValueError):
         find_splitter(CandidateSet(2, frozenset({from_bits("01")}), 4))
+    # over the cap: rejected before any 2^n table is built
+    n = DEFAULT_CAP + 1
+    with pytest.raises(ValueError):
+        find_splitter(CandidateSet(n, frozenset({from_bits("0" * n), from_bits("1" * n)}), 4))
+    with pytest.raises(ValueError):
+        find_splitter(CandidateSet(2, frozenset({from_bits("01"), Text(b"\x01\x01", 3)}), 4))
+
+
+def brute_force_splitter(members):
+    """Shortest-then-lexicographic search over the members' substrings: the
+    first whose count lies in [ceil(m/5), floor(4m/5)], else the first one
+    closest to an even split, flagged. Returns (query, count, flagged)."""
+    syms = [t.symbols for t in members]
+    subs = {s[i:j] for s in syms for i in range(len(s)) for j in range(i + 1, len(s) + 1)}
+    msize = len(syms)
+    best = None
+    for q in sorted(subs, key=lambda s: (len(s), s)):
+        cnt = sum(q in s for s in syms)
+        if -(-msize // 5) <= cnt <= (4 * msize) // 5:
+            return q, cnt, False
+        if best is None or abs(2 * cnt - msize) < abs(2 * best[1] - msize):
+            best = (q, cnt, True)
+    return best
 
 
 def test_splitter_contained_is_correct_and_fraction_holds():
+    cases = []
+    for n in range(1, 4):
+        pool = list(all_binary(n))
+        for size in range(2, len(pool) + 1):
+            cases += [(n, frozenset(c)) for c in itertools.combinations(pool, size)]
     rng = random.Random(3)
-    pool = list(all_binary(8))
-    for _ in range(60):
-        members = frozenset(rng.sample(pool, rng.randint(2, 40)))
-        res = find_splitter(CandidateSet(8, members, 9))
+    for n in range(4, 9):
+        pool = list(all_binary(n))
+        for _ in range(60):
+            cases.append((n, frozenset(rng.sample(pool, rng.randint(2, min(40, len(pool)))))))
+    for n, members in cases:
+        res = find_splitter(CandidateSet(n, members, n + 1))
         q = res.splitter.symbols
+        assert (q, res.count, res.flagged) == brute_force_splitter(members)
         assert res.contained == frozenset(t for t in members if q in t.symbols)
         msize = len(members)
         if not res.flagged:
