@@ -4,6 +4,20 @@ A centroid of an m-node component splits it, upon removal, into components
 of size at most m/2 (Jordan). Decomposing recursively yields a tree over the
 same nodes whose height is O(log m); root-to-node paths in the original tree
 can then be binary-searched by walking the decomposition.
+
+The tree is taken rooted at node 0, as parent and child arrays (node ids
+need not be in topological order). One pass computes every subtree size.
+Every component then has a unique shallowest node, its top, and a node's
+size counts only the part of its subtree inside its component. From the top,
+the walk to the centroid c follows the child holding more than half the
+component. A tree has at most two centroids; the second one can only be a
+child of c holding exactly half, and the smaller node id wins. Removing c
+leaves each live child of c on top of a component whose sizes are already
+right, and the parent side keeps its top once size[c] is subtracted along
+the path from parent(c) up to the top. Each walk and each path update stays
+inside one component, and a node lies in O(log m) components, so the whole
+decomposition takes O(m log m) (Della Giustina, Prezza and Venturini, SPIRE
+2019, avoid even the log factor).
 """
 from __future__ import annotations
 
@@ -54,108 +68,94 @@ class CentroidTree:
         return None
 
 
-def decompose_adjacency(adjacency: list[list[int]]) -> CentroidTree:
-    """Centroid-decompose a tree given as neighbor lists (parent first, then
-    children, in the order components should be attached). When a component
-    has two centroids, the one with the smaller node id wins."""
-    m = len(adjacency)
+def _decompose(parent: list[int], kids: list[list[int]]) -> CentroidTree:
+    """Centroid-decompose the tree rooted at node 0 with the given parent
+    array (-1 at the root) and child lists (in attachment order)."""
+    m = len(parent)
     if m == 0:
         raise ValueError("cannot decompose an empty tree")
-    removed = bytearray(m)
-    par = [0] * m   # scratch, oriented from the current component entry
-    size = [0] * m  # scratch, valid for the current component only
+    order = [0]
+    for v in order:
+        order += kids[v]
+        if len(order) > m:
+            break
+    if len(order) != m:
+        raise ValueError("not a tree rooted at node 0")
+    # size[v]: nodes of v's subtree inside v's current component; 0 once v
+    # is removed, so no removed node ever looks heavy or live
+    size = [1] * m
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
     parent_ct = [-1] * m
     children_ct: list[list[int]] = [[] for _ in range(m)]
     depth_ct = [0] * m
     balanced = True
-    height = 0
-
-    def max_comp(u: int, msize: int) -> int:
-        # largest component left by removing u, under the current orientation
-        worst = msize - size[u]
-        pu = par[u]
-        for w in adjacency[u]:
-            if w != pu and not removed[w] and size[w] > worst:
-                worst = size[w]
-        return worst
-
-    # each task decomposes the component containing `entry`, hanging its
-    # centroid under `ct_parent`
+    height = 1
+    root = 0
+    # each task decomposes the component whose shallowest node is `top`,
+    # hanging its centroid under `ct_parent`
     tasks: list[tuple[int, int]] = [(0, -1)]
     while tasks:
-        entry, ct_parent = tasks.pop()
-        comp = [entry]
-        par[entry] = -1
-        i = 0
-        while i < len(comp):
-            v = comp[i]
-            i += 1
-            pv = par[v]
-            for w in adjacency[v]:
-                if w != pv and not removed[w]:
-                    par[w] = v
-                    comp.append(w)
-        msize = len(comp)
-        for v in comp:
-            size[v] = 1
-        for v in reversed(comp):
-            p = par[v]
-            if p != -1:
-                size[p] += size[v]
+        top, ct_parent = tasks.pop()
+        msize = size[top]
         half = msize // 2
-        # walk toward the heavy subtree until every component is <= half
-        v = entry
+        # walk down through the child holding more than half the component
+        c = top
         while True:
-            nxt = None
-            pv = par[v]
-            for w in adjacency[v]:
-                if w != pv and not removed[w] and size[w] > half:
-                    nxt = w
+            for w in kids[c]:
+                if size[w] > half:
+                    c = w
                     break
-            if nxt is None:
+            else:
                 break
-            v = nxt
-        # a tree has at most two centroids and they are adjacent: prefer the
-        # smaller node id
-        c = v
-        for w in adjacency[v]:
-            if not removed[w] and w < c and max_comp(w, msize) <= half:
-                c = w
-        if max_comp(c, msize) > half:
+        # the only other possible centroid is a child of exactly half the
+        # component; the smaller node id wins
+        for w in kids[c]:
+            if 2 * size[w] == msize:
+                c = min(c, w)
+                break
+        worst = msize - size[c]
+        for w in kids[c]:
+            if size[w] > worst:
+                worst = size[w]
+        if worst > half:
             balanced = False
-        removed[c] = 1
         parent_ct[c] = ct_parent
-        d = 0 if ct_parent == -1 else depth_ct[ct_parent] + 1
-        depth_ct[c] = d
-        if d + 1 > height:
-            height = d + 1
-        if ct_parent != -1:
+        if ct_parent == -1:
+            root = c
+        else:
             children_ct[ct_parent].append(c)
-        # neighbor components are attached in adjacency order; pushed in
-        # reverse so they are processed (and appended) in that order
-        live = [w for w in adjacency[c] if not removed[w]]
-        for w in reversed(live):
-            tasks.append((w, c))
+            depth_ct[c] = depth_ct[ct_parent] + 1
+            if depth_ct[c] >= height:
+                height = depth_ct[c] + 1
+        sc = size[c]
+        size[c] = 0
+        # children components are popped in order, after the parent side
+        for w in reversed(kids[c]):
+            if size[w]:
+                tasks.append((w, c))
+        if c != top:
+            p = parent[c]
+            while True:
+                size[p] -= sc
+                if p == top:
+                    break
+                p = parent[p]
+            tasks.append((top, c))
+    return CentroidTree(root, parent_ct, children_ct, depth_ct, height, balanced)
 
-    roots = [v for v in range(m) if parent_ct[v] == -1]
-    assert len(roots) == 1
-    return CentroidTree(roots[0], parent_ct, children_ct, depth_ct, height, balanced)
 
-
-def snapshot_adjacency(snap: TreeSnapshot) -> list[list[int]]:
-    """Parent-first neighbor lists (children in symbol order) for a snapshot."""
-    adj: list[list[int]] = []
-    for v in range(snap.size):
-        nbrs: list[int] = []
-        if snap.parent[v] != -1:
-            nbrs.append(snap.parent[v])
-        nbrs.extend(ch for _, ch in snap.children[v])
-        adj.append(nbrs)
-    return adj
+def decompose_adjacency(adjacency: list[list[int]]) -> CentroidTree:
+    """Centroid-decompose a tree rooted at node 0 given as neighbor lists:
+    each non-root node lists its parent first, then its children in the
+    order components should be attached."""
+    parent = [nbrs[0] if v else -1 for v, nbrs in enumerate(adjacency)]
+    return _decompose(parent, [nbrs[1 if v else 0:] for v, nbrs in enumerate(adjacency)])
 
 
 def decompose_snapshot(snap: TreeSnapshot) -> CentroidTree:
-    return decompose_adjacency(snapshot_adjacency(snap))
+    # most nodes are leaves: skip the comprehension for their empty lists
+    return _decompose(snap.parent, [[ch for _, ch in kl] if kl else [] for kl in snap.children])
 
 
 def centroid_decompose(tree: SuffixTree) -> CentroidTree:

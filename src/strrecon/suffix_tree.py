@@ -203,14 +203,13 @@ class SuffixTree:
         """Indented text rendering: node id, interval, spelled label."""
         lines: list[str] = []
         snap = self.snapshot()
-
-        def walk(vid: int, indent: int) -> None:
+        # preorder with an explicit stack: a tree can be as deep as its text
+        stack = [(0, 0)]
+        while stack:
+            vid, indent = stack.pop()
             i = snap.first_occ[vid] + 1
             j = snap.first_occ[vid] + snap.depth[vid]
             label = to_letters(snap.locus(vid)) if self.sigma <= 26 else repr(bytes(snap.locus(vid)))
             lines.append(f"{'  ' * indent}#{vid} [{i},{j}] {label}")
-            for _, ch in snap.children[vid]:
-                walk(ch, indent + 1)
-
-        walk(0, 0)
+            stack.extend((ch, indent + 1) for _, ch in reversed(snap.children[vid]))
         return "\n".join(lines)

@@ -7,8 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strrecon import SuffixTree, centroid_decompose
-from strrecon.centroid import decompose_adjacency
+from strrecon import SuffixTree, centroid_decompose, generate
+from strrecon.centroid import decompose_adjacency, decompose_snapshot
 
 
 def random_tree(m: int, rng: random.Random) -> list[list[int]]:
@@ -18,6 +18,18 @@ def random_tree(m: int, rng: random.Random) -> list[list[int]]:
         adj[p].append(v)
         adj[v].insert(0, p)  # parent first, matching snapshot order
     return adj
+
+
+def relabel(adj: list[list[int]], rng: random.Random) -> list[list[int]]:
+    """The same tree under a random permutation of the ids that fixes root 0,
+    so a parent may get a larger id than its child (as split nodes do in a
+    suffix tree)."""
+    m = len(adj)
+    perm = [0] + rng.sample(range(1, m), m - 1)
+    out: list[list[int]] = [[] for _ in range(m)]
+    for v, nbrs in enumerate(adj):
+        out[perm[v]] = [perm[w] for w in nbrs]
+    return out
 
 
 def brute_components(adj: list[list[int]], alive: set[int], c: int) -> list[set[int]]:
@@ -127,6 +139,13 @@ def test_random_trees_satisfy_all_invariants(m, seed):
     check_decomposition(random_tree(m, random.Random(seed)))
 
 
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_relabelled_random_trees_satisfy_all_invariants(m, seed):
+    rng = random.Random(seed)
+    check_decomposition(relabel(random_tree(m, rng), rng))
+
+
 def test_star_and_caterpillar():
     star = [[v for v in range(1, 30)]] + [[0] for _ in range(29)]
     check_decomposition(star)
@@ -150,3 +169,24 @@ def test_suffix_tree_decomposition_is_logarithmic():
     assert ct.size == tree.node_count
     assert ct.balanced
     assert ct.height <= math.floor(math.log2(ct.size)) + 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [generate("random", 300, 2, 1), generate("random", 300, 4, 2), generate("random", 120, 26, 3),
+     generate("fibonacci", 300, 2), generate("runs(3)", 300, 2), generate("runs(7)", 300, 3)],
+    ids=["random-2", "random-4", "random-26", "fibonacci", "runs3", "runs7"],
+)
+def test_snapshot_decomposition_matches_adjacency(text):
+    tree = SuffixTree(text.sigma)
+    size = 1
+    while True:
+        tree.extend(text.symbols[len(tree) : size])
+        snap = tree.snapshot()
+        adj = [([snap.parent[v]] if v else []) + [ch for _, ch in snap.children[v]]
+               for v in range(snap.size)]
+        assert decompose_snapshot(snap) == decompose_adjacency(adj)
+        check_decomposition(adj)
+        if size >= len(text):
+            break
+        size = min(2 * size, len(text))

@@ -136,6 +136,16 @@ def test_dump_renders_every_node():
     assert "aba" in out
 
 
+def test_dump_of_a_deep_tree():
+    # a^1500 b: internal nodes a, aa, ..., a^1499 form a chain 1500 levels deep
+    tree = build(bytes([1] * 1500 + [2]), 2)
+    lines = tree.dump().splitlines()
+    assert tree.node_count == len(lines) == 3001
+    assert lines[0].startswith("#0 [1,0]")
+    assert max(len(line) - len(line.lstrip(" ")) for line in lines) == 2 * 1500
+    assert lines[-1].lstrip(" ").startswith(f"#{tree.node_count - 1} [1501,1501] b")
+
+
 @given(strings)
 @settings(max_examples=150)
 def test_online_build_matches_batch_build(s):

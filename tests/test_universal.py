@@ -18,6 +18,8 @@ from strrecon import (
     enumerate_candidates,
     find_splitter,
     from_bits,
+    reconstruct_lz_prefix,
+    reconstruct_lz_substring,
     reconstruct_naive,
     reconstruct_rle,
     reconstruct_universal,
@@ -267,6 +269,53 @@ def test_codec_code_length_equals_query_count():
         code = codec.compress(hidden)
         assert len(code) == o.stats().total_queries
         assert codec.decompress(code) == hidden
+
+
+class _TranscriptOracle:
+    """An oracle that logs every (kind, query, answer) it serves."""
+
+    def __init__(self, hidden: Text):
+        self._o = Oracle(hidden)
+        self.sigma = self._o.sigma
+        self.log: list[tuple[str, bytes, bool]] = []
+
+    def contains_substring(self, q) -> bool:
+        a = self._o.contains_substring(q)
+        self.log.append(("substring", bytes(q), a))
+        return a
+
+    def is_prefix(self, q) -> bool:
+        a = self._o.is_prefix(q)
+        self.log.append(("prefix", bytes(q), a))
+        return a
+
+    def stats(self):
+        return self._o.stats()
+
+
+hidden_texts = st.integers(min_value=1, max_value=6).flatmap(
+    lambda sigma: st.lists(st.integers(min_value=1, max_value=sigma), min_size=1, max_size=200)
+    .map(lambda syms: Text(bytes(syms), sigma))
+)
+
+
+@pytest.mark.parametrize(
+    "algo",
+    [reconstruct_naive, reconstruct_rle, reconstruct_lz_prefix, reconstruct_lz_substring],
+    ids=["naive", "rle", "lz-prefix", "lz-substring"],
+)
+@given(hidden=hidden_texts)
+@settings(max_examples=100, deadline=None)
+def test_transcripts_are_deterministic_and_replay_as_codes(algo, hidden):
+    first, second = _TranscriptOracle(hidden), _TranscriptOracle(hidden)
+    assert algo(first, hidden.sigma).recovered == hidden
+    algo(second, hidden.sigma)
+    assert first.log == second.log
+    codec = compressor_from_reconstructor(algo, hidden.sigma)
+    code = codec.compress(hidden)
+    assert len(code) == len(first.log) == first.stats().total_queries
+    assert code == tuple(int(a) for _, _, a in first.log)
+    assert codec.decompress(code) == hidden
 
 
 def test_codec_round_trip_larger_alphabet():
