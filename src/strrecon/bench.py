@@ -30,7 +30,7 @@ from .reconstruct import (
     reconstruct_rle,
 )
 from .text import Text
-from .universal import IdentityBits, RunLengthBits, reconstruct_universal
+from .universal import DEFAULT_CAP, IdentityBits, RunLengthBits, reconstruct_universal
 
 CSV_HEADER = "algo,family,n,sigma,rle,z,z_no,phrases,sub_q,pre_q,sym_total,ms,exact,bound_ok"
 
@@ -143,7 +143,8 @@ def parse_sweep(textio) -> list[dict]:
     a cartesian product. '#' starts a comment.
 
     Keys: algo, family, n, sigma (default 2), seed (default 0),
-    repeat (default 1, distinct seeds).
+    repeat (default 1, distinct seeds). Unknown algorithms, and universal
+    groups longer than the enumeration cap, are rejected before anything runs.
     """
     groups: list[dict] = []
     for lineno, raw in enumerate(textio, 1):
@@ -161,6 +162,11 @@ def parse_sweep(textio) -> list[dict]:
         for missing in ("algo", "family", "n"):
             if missing not in opts:
                 raise ValueError(f"sweep line {lineno}: missing {missing}=")
+        for algo in opts["algo"]:
+            if algo not in _BOUNDS:
+                raise ValueError(f"sweep line {lineno}: unknown algo {algo!r}")
+            if algo.startswith("universal-") and max(map(int, opts["n"])) > DEFAULT_CAP:
+                raise ValueError(f"sweep line {lineno}: {algo} needs n <= {DEFAULT_CAP}")
         opts.setdefault("sigma", ["2"])
         opts.setdefault("seed", ["0"])
         repeat = int(opts.pop("repeat", ["1"])[0])

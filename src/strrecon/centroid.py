@@ -5,39 +5,32 @@ of size at most m/2 (Jordan). Decomposing recursively yields a tree over the
 same nodes whose height is O(log m); root-to-node paths in the original tree
 can then be binary-searched by walking the decomposition.
 
-The tree is taken rooted at node 0, as parent and child arrays (node ids
-need not be in topological order). One pass computes every subtree size.
-Every component then has a unique shallowest node, its top, and a node's
-size counts only the part of its subtree inside its component. From the top,
-the walk to the centroid c follows the child holding more than half the
-component. A tree has at most two centroids; the second one can only be a
-child of c holding exactly half, and the smaller node id wins. Removing c
-leaves each live child of c on top of a component whose sizes are already
-right, and the parent side keeps its top once size[c] is subtracted along
-the path from parent(c) up to the top. Each walk and each path update stays
-inside one component, and a node lies in O(log m) components, so the whole
-decomposition takes O(m log m) (Della Giustina, Prezza and Venturini, SPIRE
-2019, avoid even the log factor).
+The tree is given as child lists rooted at node 0 (node ids need not be in
+topological order, and child order does not matter). One breadth-first pass
+checks that the lists form a tree and derives every parent; its reverse
+computes every subtree size. Every component then has a unique shallowest
+node, its top, and a node's size counts only the part of its subtree inside
+its component. From the top, the walk to the centroid c follows the child
+holding more than half the component. A tree has at most two centroids; the
+second one can only be a child of c holding exactly half, and the smaller
+node id wins. Removing c leaves each live child of c on top of a component
+whose sizes are already right, and the parent side keeps its top once
+size[c] is subtracted along the path from parent(c) up to the top. Each walk
+and each path update stays inside one component, and a node lies in
+O(log m) components, so the whole decomposition takes O(m log m) (Della
+Giustina, Prezza and Venturini, SPIRE 2019, avoid even the log factor).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .suffix_tree import SuffixTree, TreeSnapshot
-
 
 @dataclass
 class CentroidTree:
-    """Decomposition over node ids of the decomposed tree.
-
-    The first child of a centroid u is the component containing u's parent
-    in the original tree (when that component is nonempty); the remaining
-    children follow u's original children in order.
-    """
+    """Decomposition over node ids of the decomposed tree."""
 
     root: int
     parent: list[int]          # centroid-tree parent per node, -1 at the root
-    children: list[list[int]]  # centroid-tree children per node
     depth: list[int]           # centroid-tree depth per node
     height: int
     balanced: bool             # every split produced components of size <= m/2
@@ -68,26 +61,30 @@ class CentroidTree:
         return None
 
 
-def _decompose(parent: list[int], kids: list[list[int]]) -> CentroidTree:
-    """Centroid-decompose the tree rooted at node 0 with the given parent
-    array (-1 at the root) and child lists (in attachment order)."""
-    m = len(parent)
+def decompose(kids: list[list[int]]) -> CentroidTree:
+    """Centroid-decompose the tree rooted at node 0 whose child lists are
+    kids; raises ValueError unless they form exactly one such tree."""
+    m = len(kids)
     if m == 0:
         raise ValueError("cannot decompose an empty tree")
+    parent = [-1] * m
     order = [0]
     for v in order:
-        order += kids[v]
-        if len(order) > m:
-            break
+        kv = kids[v]
+        if kv:
+            for w in kv:
+                if not 0 < w < m or parent[w] >= 0:
+                    raise ValueError(f"child {w} of {v}: the root, out of range or seen twice")
+                parent[w] = v
+            order += kv
     if len(order) != m:
-        raise ValueError("not a tree rooted at node 0")
+        raise ValueError(f"{m - len(order)} nodes are unreachable from node 0")
     # size[v]: nodes of v's subtree inside v's current component; 0 once v
     # is removed, so no removed node ever looks heavy or live
     size = [1] * m
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
     parent_ct = [-1] * m
-    children_ct: list[list[int]] = [[] for _ in range(m)]
     depth_ct = [0] * m
     balanced = True
     height = 1
@@ -124,14 +121,12 @@ def _decompose(parent: list[int], kids: list[list[int]]) -> CentroidTree:
         if ct_parent == -1:
             root = c
         else:
-            children_ct[ct_parent].append(c)
             depth_ct[c] = depth_ct[ct_parent] + 1
             if depth_ct[c] >= height:
                 height = depth_ct[c] + 1
         sc = size[c]
         size[c] = 0
-        # children components are popped in order, after the parent side
-        for w in reversed(kids[c]):
+        for w in kids[c]:
             if size[w]:
                 tasks.append((w, c))
         if c != top:
@@ -142,22 +137,4 @@ def _decompose(parent: list[int], kids: list[list[int]]) -> CentroidTree:
                     break
                 p = parent[p]
             tasks.append((top, c))
-    return CentroidTree(root, parent_ct, children_ct, depth_ct, height, balanced)
-
-
-def decompose_adjacency(adjacency: list[list[int]]) -> CentroidTree:
-    """Centroid-decompose a tree rooted at node 0 given as neighbor lists:
-    each non-root node lists its parent first, then its children in the
-    order components should be attached."""
-    parent = [nbrs[0] if v else -1 for v, nbrs in enumerate(adjacency)]
-    return _decompose(parent, [nbrs[1 if v else 0:] for v, nbrs in enumerate(adjacency)])
-
-
-def decompose_snapshot(snap: TreeSnapshot) -> CentroidTree:
-    # most nodes are leaves: skip the comprehension for their empty lists
-    return _decompose(snap.parent, [[ch for _, ch in kl] if kl else [] for kl in snap.children])
-
-
-def centroid_decompose(tree: SuffixTree) -> CentroidTree:
-    """Decomposition of a suffix tree's node set, indexed by node id."""
-    return decompose_snapshot(tree.snapshot())
+    return CentroidTree(root, parent_ct, depth_ct, height, balanced)

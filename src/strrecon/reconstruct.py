@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .centroid import CentroidTree, decompose_snapshot
+from .centroid import CentroidTree, decompose
 from .oracle import QueryStats
 from .suffix_tree import SuffixTree, TreeSnapshot
 from .text import Text
@@ -200,6 +200,12 @@ def _memoized(query):
     return ext
 
 
+def decompose_snapshot(snap: TreeSnapshot) -> CentroidTree:
+    """The centroid decomposition of one snapshot, as the LZ loop rebuilds it
+    (perfbench times this layer through this name)."""
+    return decompose(snap.children)
+
+
 def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, ext) -> bytes:
     """Longest t spelled by a root path of the (snapshotted) suffix tree
     such that ext(t) holds; b"" when not even one symbol extends.
@@ -212,23 +218,31 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, ext) -> bytes:
     exponential search. All ext calls are assumed memoized by the caller, so
     revisiting a probe is free.
     """
+    text = snap.text
     depth = snap.depth
-    children = snap.children
+    first_occ = snap.first_occ
+    by_symbol = snap.children_by_symbol
     locus = snap.locus
+
+    def extending_child(u: int) -> int:
+        """The child of u with the smallest first edge symbol that extends,
+        probed in ascending symbol order; -1 when none does."""
+        d = depth[u] + 1
+        for ch in by_symbol(u):
+            f = first_occ[ch]
+            if ext(text[f : f + d]):  # locus(u) plus the edge's first symbol
+                return ch
+        return -1
+
     best = 0
     best_depth = 0
     u: int | None = ct.root
     while u is not None:
-        loc = locus(u)
-        if u == 0 or ext(loc):
+        if u == 0 or ext(locus(u)):
             if depth[u] > best_depth:
                 best = u
                 best_depth = depth[u]
-            toward = -1
-            for sym, ch in children[u]:
-                if ext(loc + bytes((sym,))):
-                    toward = ch
-                    break
+            toward = extending_child(u)
             if toward < 0:
                 break
             u = ct.component_of(u, toward)
@@ -240,11 +254,7 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, ext) -> bytes:
     cur = best
     result = locus(cur) if cur else b""
     while True:
-        nxt = -1
-        for sym, ch in children[cur]:
-            if ext(result + bytes((sym,))):
-                nxt = ch
-                break
+        nxt = extending_child(cur)
         if nxt < 0:
             return result
         edge = locus(nxt)[depth[cur]:]
@@ -254,13 +264,6 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, ext) -> bytes:
         if k < len(edge):
             return result
         cur = nxt
-
-
-def lz_phrase_search(r: Text, st: SuffixTree, ct: CentroidTree, extend) -> Text:
-    """One phrase step: the longest substring t of r (a path in st) for
-    which extend(t) answers true. extend receives the candidate extension as
-    bytes; results are memoized for the duration of the call."""
-    return Text(_phrase_search(st.snapshot(), ct, _memoized(extend)), r.sigma)
 
 
 class _ForwardSubstring:

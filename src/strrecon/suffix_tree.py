@@ -12,14 +12,14 @@ splits, and a snapshot is a plain copy of the lists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .text import Text, to_letters
 
 
 @dataclass
 class TreeSnapshot:
-    """Immutable array view of a suffix tree, indexed by node id.
+    """Array copy of a suffix tree, indexed by node id.
 
     ``first_occ[v]`` is the 0-based start of the first occurrence of
     locus(v) in the text, so locus(v) == text[first_occ[v] : first_occ[v] +
@@ -29,12 +29,22 @@ class TreeSnapshot:
     text: bytes
     depth: list[int]
     parent: list[int]
-    children: list[list[tuple[int, int]]]  # per node: (first symbol, child id), symbol-sorted
+    children: list[list[int]]  # per node: child ids in insertion order
     first_occ: list[int]
+    _by_symbol: dict[int, list[int]] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.depth)
+
+    def children_by_symbol(self, v: int) -> list[int]:
+        """Children of v in ascending order of first edge symbol, sorted on
+        first request: searches visit few nodes, but the top ones often."""
+        kids = self._by_symbol.get(v)
+        if kids is None:
+            text, first, d = self.text, self.first_occ, self.depth[v]
+            kids = self._by_symbol[v] = sorted(self.children[v], key=lambda ch: text[first[ch] + d])
+        return kids
 
     def locus(self, v: int) -> bytes:
         f = self.first_occ[v]
@@ -196,20 +206,20 @@ class SuffixTree:
         """Copy the current tree into arrays indexed by node id."""
         n = len(self.text)
         depth = [n - f if e < 0 else d for d, f, e in zip(self._depth, self._first, self._end)]
-        children = [sorted(kids.items()) for kids in self._children]
+        children = [list(kids.values()) for kids in self._children]
         return TreeSnapshot(bytes(self.text), depth, self._parent[:], children, self._first[:])
 
     def dump(self) -> str:
         """Indented text rendering: node id, interval, spelled label."""
         lines: list[str] = []
-        snap = self.snapshot()
         # preorder with an explicit stack: a tree can be as deep as its text
         stack = [(0, 0)]
         while stack:
             vid, indent = stack.pop()
-            i = snap.first_occ[vid] + 1
-            j = snap.first_occ[vid] + snap.depth[vid]
-            label = to_letters(snap.locus(vid)) if self.sigma <= 26 else repr(bytes(snap.locus(vid)))
+            i, j = self.locus_interval(vid)
+            loc = self.locus(vid)
+            label = to_letters(loc) if self.sigma <= 26 else repr(loc)
             lines.append(f"{'  ' * indent}#{vid} [{i},{j}] {label}")
-            stack.extend((ch, indent + 1) for _, ch in reversed(snap.children[vid]))
+            kids = self._children[vid]
+            stack.extend((kids[sym], indent + 1) for sym in sorted(kids, reverse=True))
         return "\n".join(lines)

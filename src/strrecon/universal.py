@@ -14,7 +14,6 @@ observes; replaying those answers reproduces the string.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .oracle import Oracle, QueryStats
@@ -23,7 +22,6 @@ from .text import Text
 
 DEFAULT_CAP = 16
 _BASE_CASE = 5  # below this, candidates are cheaper to query in full
-_TO_BITS = bytes.maketrans(b"\x01\x02", b"01")  # symbols 1/2 as bits 0/1
 
 
 class Compressor(Protocol):
@@ -110,73 +108,6 @@ class RunLengthBits:
         return Text(bytes(out), 2)
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Length-n binary strings whose codes fit in k bits."""
-
-    n: int
-    members: frozenset[Text]
-    k: int
-
-    def __post_init__(self) -> None:
-        if any(len(t) != self.n for t in self.members):
-            raise ValueError("members must all have length n")
-        if len(self.members) > 2 ** (self.k + 1) - 2:
-            raise AssertionError(
-                "more members than distinct codes of <= k bits; "
-                "the compressor cannot be injective"
-            )
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def _check_n(n: int, cap: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > cap:
-        raise ValueError(
-            f"n={n} exceeds the enumeration cap {cap}; this walks all 2^n "
-            f"strings, so raise cap= only if that cost is acceptable"
-        )
-
-
-def enumerate_candidates(n: int, k: int, c: Compressor, cap: int = DEFAULT_CAP) -> CandidateSet:
-    """Exact candidate set by enumerating all 2^n strings (hence the cap)."""
-    _check_n(n, cap)
-    strings = _universe(n).strings
-    bits = f"{_candidate_mask(c, n, k):b}"[::-1]  # bit i set: string i fits
-    members = frozenset(Text(strings[i], 2) for i, b in enumerate(bits) if b == "1")
-    return CandidateSet(n, members, k)
-
-
-@dataclass(frozen=True)
-class SplitterResult:
-    splitter: Text
-    contained: frozenset[Text]  # members the splitter occurs in
-    flagged: bool               # true when the 1/5 guarantee was unattainable
-
-    @property
-    def count(self) -> int:
-        return len(self.contained)
-
-
-def find_splitter(m: CandidateSet) -> SplitterResult:
-    """A substring of some member occurring in between 1/5 and 4/5 of the
-    members, searched shortest-then-lexicographic. When no substring
-    conforms (possible only for tiny sets), the one closest to an even
-    split is returned flagged."""
-    if len(m.members) < 2:
-        raise ValueError("need at least two candidates to split")
-    _check_n(m.n, DEFAULT_CAP)
-    if any(t.sigma != 2 for t in m.members):
-        raise ValueError("members must be binary (sigma 2)")
-    index = {int(t.symbols.translate(_TO_BITS), 2): t for t in m.members}
-    q, qmask, flagged = _select_splitter(m.n, sum(1 << i for i in index))
-    contained = frozenset(t for i, t in index.items() if qmask >> i & 1)
-    return SplitterResult(Text(q, 2), contained, flagged)
-
-
 class _Universe:
     """Per-n tables: string i has bits of i (MSB first) as symbols 1/2;
     sub_list enumerates every possible nonempty query shortest-then-lex with
@@ -227,6 +158,9 @@ def _code_lengths(c: Compressor, n: int) -> list[int]:
 
 
 def _candidate_mask(c: Compressor, n: int, k: int) -> int:
+    """Bitmask over the 2^n strings of M_k, the ones whose codes fit in k
+    bits; raises ValueError when M_k outnumbers the 2^(k+1) - 2 nonempty
+    codes of at most k bits, since then c cannot be injective."""
     key = (c.name, n, k)
     mask = _candidate_mask_cache.get(key)
     if mask is None:
@@ -234,13 +168,20 @@ def _candidate_mask(c: Compressor, n: int, k: int) -> int:
         for i, l in enumerate(_code_lengths(c, n)):
             if l <= k:
                 mask |= 1 << i
+        if mask.bit_count() > 2 ** (k + 1) - 2:
+            raise ValueError(
+                f"{mask.bit_count()} length-{n} strings have codes of at most {k} "
+                f"bits under {c.name!r}; the compressor cannot be injective"
+            )
         _candidate_mask_cache[key] = mask
     return mask
 
 
 def _select_splitter(n: int, m_mask: int) -> tuple[bytes, int, bool]:
-    """find_splitter over the bitmask m_mask of candidate indices, memoized
-    per candidate set so the decision tree is shared across hidden strings."""
+    """The first query, shortest-then-lexicographic, occurring in 1/5 to 4/5
+    of the candidates in the bitmask m_mask, as (query, membership mask,
+    False); failing that (only tiny sets), the first closest to an even split,
+    flagged True. Memoized per candidate set, so hidden strings share it."""
     memo = _splitter_memo.setdefault(n, {})
     hit = memo.get(m_mask)
     if hit is not None:
@@ -273,7 +214,13 @@ def reconstruct_universal(o, n: int, c: Compressor, cap: int = DEFAULT_CAP) -> R
     candidate sets under an exponentially growing code budget. Every answer
     is verified with a full-length query (an equality test) before being
     returned."""
-    _check_n(n, cap)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > cap:
+        raise ValueError(
+            f"n={n} exceeds the enumeration cap {cap}; this walks all 2^n "
+            f"strings, so raise cap= only if that cost is acceptable"
+        )
     uni = _universe(n)
     code_len = _code_lengths(c, n)
     max_k = max(code_len)

@@ -7,29 +7,40 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strrecon import SuffixTree, centroid_decompose, generate
-from strrecon.centroid import decompose_adjacency, decompose_snapshot
+from strrecon import SuffixTree, decompose, generate
+from strrecon.reconstruct import decompose_snapshot
 
 
 def random_tree(m: int, rng: random.Random) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(m)]
+    """Child lists of a random tree rooted at 0."""
+    kids: list[list[int]] = [[] for _ in range(m)]
     for v in range(1, m):
-        p = rng.randrange(v)
-        adj[p].append(v)
-        adj[v].insert(0, p)  # parent first, matching snapshot order
-    return adj
+        kids[rng.randrange(v)].append(v)
+    return kids
 
 
-def relabel(adj: list[list[int]], rng: random.Random) -> list[list[int]]:
+def relabel(kids: list[list[int]], rng: random.Random) -> list[list[int]]:
     """The same tree under a random permutation of the ids that fixes root 0,
     so a parent may get a larger id than its child (as split nodes do in a
     suffix tree)."""
-    m = len(adj)
+    m = len(kids)
     perm = [0] + rng.sample(range(1, m), m - 1)
     out: list[list[int]] = [[] for _ in range(m)]
-    for v, nbrs in enumerate(adj):
-        out[perm[v]] = [perm[w] for w in nbrs]
+    for v, ks in enumerate(kids):
+        out[perm[v]] = [perm[w] for w in ks]
     return out
+
+
+def path(m: int) -> list[list[int]]:
+    return [[v + 1] for v in range(m - 1)] + [[]]
+
+
+def undirected(kids: list[list[int]]) -> list[list[int]]:
+    adj = [list(ks) for ks in kids]
+    for v, ks in enumerate(kids):
+        for w in ks:
+            adj[w].append(v)
+    return adj
 
 
 def brute_components(adj: list[list[int]], alive: set[int], c: int) -> list[set[int]]:
@@ -51,12 +62,17 @@ def brute_components(adj: list[list[int]], alive: set[int], c: int) -> list[set[
     return comps
 
 
-def check_decomposition(adj: list[list[int]]) -> None:
+def check_decomposition(kids: list[list[int]]) -> None:
     """Every structural invariant, verified with set arithmetic."""
-    m = len(adj)
-    ct = decompose_adjacency(adj)
+    m = len(kids)
+    adj = undirected(kids)
+    ct = decompose(kids)
     assert ct.size == m
     assert ct.parent[ct.root] == -1
+    ct_kids: list[list[int]] = [[] for _ in range(m)]
+    for v, p in enumerate(ct.parent):
+        if p >= 0:
+            ct_kids[p].append(v)
 
     def recurse(c: int, comp: set[int], depth: int) -> int:
         assert c in comp
@@ -72,13 +88,11 @@ def check_decomposition(adj: list[list[int]]) -> None:
             if v < c:
                 others = brute_components(adj, comp - {v}, v)
                 assert any(len(p) > half for p in others)
-        # children cover the components one-to-one
-        kids = ct.children[c]
-        assert len(kids) == len(pieces)
+        # the centroid-tree children of c cover the components one-to-one
+        assert len(ct_kids[c]) == len(pieces)
         height = 1
-        for kid, piece in zip(kids, pieces):
-            assert kid in piece
-            assert ct.parent[kid] == c
+        for piece in pieces:
+            (kid,) = [v for v in ct_kids[c] if v in piece]
             for v in piece:
                 assert ct.component_of(c, v) == kid
             height = max(height, 1 + recurse(kid, piece, depth + 1))
@@ -91,37 +105,45 @@ def check_decomposition(adj: list[list[int]]) -> None:
 
 
 def test_single_node():
-    ct = decompose_adjacency([[]])
+    ct = decompose([[]])
     assert ct.root == 0 and ct.height == 1 and ct.balanced
     assert ct.component_of(0, 0) is None
 
 
 def test_empty_tree_rejected():
     with pytest.raises(ValueError):
-        decompose_adjacency([])
+        decompose([])
+
+
+@pytest.mark.parametrize(
+    "kids",
+    [[[1, 2], [2], []],     # node 2 listed as a child twice
+     [[1], [0]],            # the root listed as a child
+     [[1], [], [3], [2]],   # nodes 2 and 3 form a cycle unreachable from 0
+     [[1, 2], [2], [0]],    # both of the first two at once
+     [[1], [5]]],           # a child id out of range
+    ids=["twice", "root", "unreachable", "twice-and-root", "out-of-range"],
+)
+def test_malformed_trees_rejected(kids):
+    with pytest.raises(ValueError):
+        decompose(kids)
 
 
 def test_path_of_seven_picks_middle():
-    adj = [[] for _ in range(7)]
-    for v in range(1, 7):
-        adj[v - 1].append(v)
-        adj[v].insert(0, v - 1)
-    ct = decompose_adjacency(adj)
+    ct = decompose(path(7))
     assert ct.root == 3
-    assert ct.children[3] == [1, 5]  # parent-side component first
+    assert [v for v in range(7) if ct.parent[v] == 3] == [1, 5]
     assert ct.height == 3
 
 
 def test_two_centroids_smaller_id_wins():
     # path of 4: nodes 1 and 2 are both centroids; 1 must win
-    adj = [[1], [0, 2], [1, 3], [2]]
-    ct = decompose_adjacency(adj)
+    ct = decompose(path(4))
     assert ct.root == 1
 
 
 def test_component_of_edge_cases():
-    adj = [[1], [0, 2], [1, 3], [2]]
-    ct = decompose_adjacency(adj)
+    ct = decompose(path(4))
     assert ct.component_of(ct.root, ct.root) is None
     # a node outside u's component yields None
     for u in range(4):
@@ -147,16 +169,11 @@ def test_relabelled_random_trees_satisfy_all_invariants(m, seed):
 
 
 def test_star_and_caterpillar():
-    star = [[v for v in range(1, 30)]] + [[0] for _ in range(29)]
+    star = [list(range(1, 30))] + [[] for _ in range(29)]
     check_decomposition(star)
-    cat = [[] for _ in range(40)]
-    for v in range(1, 20):
-        cat[v - 1].append(v)
-        cat[v].insert(0, v - 1)
+    cat = path(20) + [[] for _ in range(20)]
     for v in range(20, 40):
-        p = v - 20
-        cat[p].append(v)
-        cat[v].insert(0, p)
+        cat[v - 20].append(v)
     check_decomposition(cat)
 
 
@@ -165,7 +182,7 @@ def test_suffix_tree_decomposition_is_logarithmic():
     s = bytes(rng.randint(1, 3) for _ in range(800))
     tree = SuffixTree(3)
     tree.extend(s)
-    ct = centroid_decompose(tree)
+    ct = decompose(tree.snapshot().children)
     assert ct.size == tree.node_count
     assert ct.balanced
     assert ct.height <= math.floor(math.log2(ct.size)) + 1
@@ -178,15 +195,22 @@ def test_suffix_tree_decomposition_is_logarithmic():
     ids=["random-2", "random-4", "random-26", "fibonacci", "runs3", "runs7"],
 )
 def test_snapshot_decomposition_matches_adjacency(text):
+    # snapshots list children in insertion order; the decomposition must equal
+    # that of the same tree rebuilt from the parent array with children
+    # sorted by first edge symbol, and of any other child order
     tree = SuffixTree(text.sigma)
     size = 1
     while True:
         tree.extend(text.symbols[len(tree) : size])
         snap = tree.snapshot()
-        adj = [([snap.parent[v]] if v else []) + [ch for _, ch in snap.children[v]]
-               for v in range(snap.size)]
-        assert decompose_snapshot(snap) == decompose_adjacency(adj)
-        check_decomposition(adj)
+        by_symbol: list[list[int]] = [[] for _ in range(snap.size)]
+        for v in range(1, snap.size):
+            by_symbol[snap.parent[v]].append(v)
+        for v, ks in enumerate(by_symbol):
+            ks.sort(key=lambda ch, d=snap.depth[v]: snap.text[snap.first_occ[ch] + d])
+        ct = decompose_snapshot(snap)
+        assert ct == decompose(by_symbol) == decompose([ks[::-1] for ks in by_symbol])
+        check_decomposition(snap.children)
         if size >= len(text):
             break
         size = min(2 * size, len(text))

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import io
+import re
+from pathlib import Path
 
 import pytest
 
 from strrecon import Text, generate, measure, parse_csv, parse_sweep, to_letters
-from strrecon.bench import emit_csv, run_experiments, run_one
+from strrecon.bench import _BOUNDS, emit_csv, run_experiments, run_one
 from strrecon.cli import main
 from strrecon.families import FAMILIES
 
@@ -105,6 +107,34 @@ def test_parse_sweep_errors():
         parse_sweep(io.StringIO("algo naive family=x n=1\n"))
     with pytest.raises(ValueError):
         parse_sweep(io.StringIO("algo=naive family=random n=10 bogus=1\n"))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [("algo=naive,nope family=random n=10", "line 2: unknown algo 'nope'"),
+     ("algo=universal-identity family=random n=8,17", "line 2: universal-identity needs n <= 16")],
+    ids=["unknown-algo", "universal-over-cap"],
+)
+def test_parse_sweep_rejects_a_bad_group_before_running(bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_sweep(io.StringIO("algo=naive family=random n=10\n" + bad + "\n"))
+
+
+def test_cli_bench_rejects_a_bad_group_before_running(tmp_path, capsys):
+    sweep = tmp_path / "sweep.txt"
+    sweep.write_text("algo=naive family=random n=25\nalgo=nope family=random n=25\n")
+    with pytest.raises(ValueError, match="line 2"):
+        main(["bench", "--sweep", str(sweep)])
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == ""
+
+
+def test_readme_algorithm_table_matches_the_bounds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Algorithms", 1)[1].split("\n\n", 2)[1]
+    names = {name for row in table.splitlines()[2:]
+             for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    assert names == set(_BOUNDS)
 
 
 def test_run_experiments_all_algorithms():

@@ -10,18 +10,17 @@ from strrecon import (
     Oracle,
     SuffixTree,
     Text,
-    centroid_decompose,
     from_letters,
     generate,
-    lz_phrase_search,
     measure,
     reconstruct_lz_prefix,
     reconstruct_lz_substring,
     reconstruct_naive,
     reconstruct_rle,
+    to_letters,
 )
 from strrecon.bench import bound_holds, run_one
-from strrecon.reconstruct import _max_true
+from strrecon.reconstruct import _max_true, _memoized, _phrase_search, decompose_snapshot
 
 ALGOS = [reconstruct_naive, reconstruct_rle, reconstruct_lz_prefix, reconstruct_lz_substring]
 ALGO_NAMES = ["naive", "rle", "lz-prefix", "lz-substring"]
@@ -130,32 +129,49 @@ def test_decomposition_records_are_emitted():
     assert all(balanced for _, _, balanced in records)
 
 
+def phrase_search(known: Text, extend) -> bytes:
+    """One phrase step over the suffix tree of known, as the LZ loop takes it."""
+    tree = SuffixTree(known.sigma)
+    tree.extend(known.symbols)
+    snap = tree.snapshot()
+    return _phrase_search(snap, decompose_snapshot(snap), _memoized(extend))
+
+
 def test_phrase_search_finds_longest_extending_substring():
     # known text contains ABCABCA...; the next phrase toward the hidden
     # string AAABCABCABCAAAABCAB must be ABCAB
-    known = from_letters("AAABCABCABCAAA")
-    hidden = from_letters("AAABCABCABCAAAABCAB", sigma=5)
-    o = Oracle(hidden)
-    st_ = SuffixTree(5)
-    st_.extend(known.symbols)
-    ct = centroid_decompose(st_)
-
-    def extend(t: bytes) -> bool:
-        return o.is_prefix(known.symbols + t)
-
-    phrase = lz_phrase_search(known, st_, ct, extend)
-    assert phrase.symbols == from_letters("ABCAB").symbols
+    known = from_letters("AAABCABCABCAAA", sigma=5)
+    o = Oracle(from_letters("AAABCABCABCAAAABCAB", sigma=5))
+    phrase = phrase_search(known, lambda t: o.is_prefix(known.symbols + t))
+    assert phrase == from_letters("ABCAB").symbols
 
 
 def test_phrase_search_empty_when_nothing_extends():
     known = from_letters("ab")
-    hidden = from_letters("ab")
-    o = Oracle(hidden)
-    st_ = SuffixTree(2)
-    st_.extend(known.symbols)
-    ct = centroid_decompose(st_)
-    phrase = lz_phrase_search(known, st_, ct, lambda t: o.is_prefix(known.symbols + t))
-    assert phrase.symbols == b""
+    o = Oracle(from_letters("ab"))
+    assert phrase_search(known, lambda t: o.is_prefix(known.symbols + t)) == b""
+
+
+@pytest.mark.parametrize(
+    "known, extending, phrase",
+    [("cba", {"b", "c"}, "b"),                   # at the root: children c, b, a
+     ("adacab", {"a", "ab", "ac"}, "ab")],       # at node a: children c, d, b
+    ids=["root", "internal"],
+)
+def test_phrase_search_probes_children_in_symbol_order(known, extending, phrase):
+    # the snapshot keeps children in insertion order, which here is not the
+    # symbol order; two children extend, and the smaller symbol must be
+    # probed first and taken
+    asked: list[str] = []
+
+    def extend(t: bytes) -> bool:
+        asked.append(to_letters(t))
+        return asked[-1] in extending
+
+    assert to_letters(phrase_search(from_letters(known, sigma=4), extend)) == phrase
+    parent = phrase[:-1]
+    siblings = [q for q in asked if len(q) == len(parent) + 1 and q.startswith(parent)]
+    assert siblings == sorted(siblings) and siblings[-1] == phrase
 
 
 def test_max_true_exact_over_small_domain():

@@ -83,13 +83,15 @@ def test_first_occurrence_is_leftmost(s):
 @given(strings)
 @settings(max_examples=250)
 def test_children_are_symbol_sorted_and_consistent(s):
+    # each node's children are exactly the nodes naming it as parent, and
+    # children_by_symbol orders them by their distinct first edge symbols
     snap = build(s, 3).snapshot()
     for v in range(snap.size):
-        syms = [sym for sym, _ in snap.children[v]]
-        assert syms == sorted(syms)
-        assert len(set(syms)) == len(syms)
-        for sym, ch in snap.children[v]:
-            assert snap.locus(ch)[snap.depth[v]] == sym
+        kids = snap.children_by_symbol(v)
+        assert sorted(kids) == sorted(snap.children[v])
+        assert sorted(kids) == [w for w in range(1, snap.size) if snap.parent[w] == v]
+        syms = [snap.locus(ch)[snap.depth[v]] for ch in kids]
+        assert syms == sorted(set(syms))
 
 
 @given(strings)

@@ -9,14 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strrecon import (
-    CandidateSet,
     IdentityBits,
     Oracle,
     RunLengthBits,
     Text,
     compressor_from_reconstructor,
-    enumerate_candidates,
-    find_splitter,
     from_bits,
     reconstruct_lz_prefix,
     reconstruct_lz_substring,
@@ -24,12 +21,38 @@ from strrecon import (
     reconstruct_rle,
     reconstruct_universal,
 )
-from strrecon.universal import DEFAULT_CAP, elias_gamma, elias_gamma_decode
+from strrecon.universal import _candidate_mask, _select_splitter, elias_gamma, elias_gamma_decode
 
 
 def all_binary(n: int):
     for tup in itertools.product((1, 2), repeat=n):
         yield Text(bytes(tup), 2)
+
+
+def index(t: Text) -> int:
+    """Bit of t in a candidate mask: the bits of the index, MSB first, are
+    the symbols 1/2 as 0/1."""
+    return int(t.symbols.translate(bytes.maketrans(b"\x01\x02", b"01")), 2)
+
+
+def mask_of(members) -> int:
+    return sum(1 << index(t) for t in members)
+
+
+def members_of(n: int, mask: int) -> frozenset[Text]:
+    return frozenset(t for t in all_binary(n) if mask >> index(t) & 1)
+
+
+class ConstantCode:
+    """Not injective: every string gets the code (0,)."""
+
+    name = "constant"
+
+    def compress(self, t: Text) -> tuple[int, ...]:
+        return (0,)
+
+    def decompress(self, bits):
+        raise ValueError("not injective")
 
 
 # ---------------------------------------------------------------- compressors
@@ -99,26 +122,25 @@ def test_candidate_counts_for_identity():
     # with one bit per symbol, budget k admits exactly the strings of length
     # n when k >= n and none otherwise
     for n in range(1, 7):
-        assert len(enumerate_candidates(n, n, IdentityBits())) == 1 << n
-        assert len(enumerate_candidates(n, n - 1, IdentityBits())) == 0
+        assert _candidate_mask(IdentityBits(), n, n).bit_count() == 1 << n
+        assert _candidate_mask(IdentityBits(), n, n - 1) == 0
 
 
 def test_candidate_set_size_cap():
     for n in range(1, 9):
         for k in range(1, 2 * n):
-            m = enumerate_candidates(n, k, RunLengthBits())
-            assert len(m) <= 2 ** (k + 1) - 2
+            assert _candidate_mask(RunLengthBits(), n, k).bit_count() <= 2 ** (k + 1) - 2
 
 
 def test_candidate_set_validation():
+    # all 2^n strings share one 1-bit code: more candidates than the two
+    # codes of at most one bit, so the run fails before any query
     with pytest.raises(ValueError):
-        enumerate_candidates(0, 3, IdentityBits())
+        _candidate_mask(ConstantCode(), 3, 1)
+    o = Oracle(from_bits("0110"))
     with pytest.raises(ValueError):
-        enumerate_candidates(40, 3, IdentityBits())
-    with pytest.raises(ValueError):
-        CandidateSet(3, frozenset({from_bits("01")}), 5)
-    with pytest.raises(AssertionError):
-        CandidateSet(2, frozenset(all_binary(2)), 1)
+        reconstruct_universal(o, 4, ConstantCode())
+    assert o.stats().total_queries == 0
 
 
 def test_rle_budget_keeps_only_compressible_strings():
@@ -127,51 +149,43 @@ def test_rle_budget_keeps_only_compressible_strings():
             strings = list(all_binary(n))
             lengths = [len(comp.compress(t)) for t in strings]
             for k in range(2 * n + 3):
-                m = enumerate_candidates(n, k, comp)
-                assert m.members == frozenset(
+                assert _candidate_mask(comp, n, k) == mask_of(
                     t for t, l in zip(strings, lengths) if l <= k
                 )
-    m = enumerate_candidates(10, 8, RunLengthBits())
+    m = _candidate_mask(RunLengthBits(), 10, 8)
     # a single run of 10 costs 1 symbol bit + 7 gamma bits
-    assert from_bits("0" * 10) in m.members
-    assert from_bits("01" * 5) not in m.members
+    assert m >> index(from_bits("0" * 10)) & 1
+    assert not m >> index(from_bits("01" * 5)) & 1
 
 
 # ------------------------------------------------------------------ splitters
 
+def split(n: int, members) -> tuple[bytes, int, bool]:
+    """(splitter, members it occurs in, flagged) for a set of members."""
+    m = mask_of(members)
+    q, qmask, flagged = _select_splitter(n, m)
+    return q, (qmask & m).bit_count(), flagged
+
+
 def test_splitter_on_all_length_three():
-    m = CandidateSet(3, frozenset(all_binary(3)), 3)
-    res = find_splitter(m)
-    assert not res.flagged
-    assert 2 <= res.count <= 6
+    q, count, flagged = split(3, all_binary(3))
+    assert not flagged
+    assert 2 <= count <= 6
     # deterministic: shortest conforming query, lexicographically first
-    assert res.splitter.symbols == from_bits("00").symbols
-    assert res.count == 3
+    assert q == from_bits("00").symbols
+    assert count == 3
 
 
 def test_splitter_two_members():
-    m = CandidateSet(2, frozenset({from_bits("00"), from_bits("11")}), 4)
-    res = find_splitter(m)
-    assert res.splitter.symbols == from_bits("0").symbols
-    assert res.count == 1 and not res.flagged
+    q, count, flagged = split(2, {from_bits("00"), from_bits("11")})
+    assert q == from_bits("0").symbols
+    assert count == 1 and not flagged
 
 
 def test_splitter_all_length_two():
-    m = CandidateSet(2, frozenset(all_binary(2)), 4)
-    res = find_splitter(m)
-    assert res.splitter.symbols == from_bits("0").symbols
-    assert res.count == 3 and not res.flagged
-
-
-def test_splitter_needs_two_members():
-    with pytest.raises(ValueError):
-        find_splitter(CandidateSet(2, frozenset({from_bits("01")}), 4))
-    # over the cap: rejected before any 2^n table is built
-    n = DEFAULT_CAP + 1
-    with pytest.raises(ValueError):
-        find_splitter(CandidateSet(n, frozenset({from_bits("0" * n), from_bits("1" * n)}), 4))
-    with pytest.raises(ValueError):
-        find_splitter(CandidateSet(2, frozenset({from_bits("01"), Text(b"\x01\x01", 3)}), 4))
+    q, count, flagged = split(2, all_binary(2))
+    assert q == from_bits("0").symbols
+    assert count == 3 and not flagged
 
 
 def brute_force_splitter(members):
@@ -203,13 +217,14 @@ def test_splitter_contained_is_correct_and_fraction_holds():
         for _ in range(60):
             cases.append((n, frozenset(rng.sample(pool, rng.randint(2, min(40, len(pool)))))))
     for n, members in cases:
-        res = find_splitter(CandidateSet(n, members, n + 1))
-        q = res.splitter.symbols
-        assert (q, res.count, res.flagged) == brute_force_splitter(members)
-        assert res.contained == frozenset(t for t in members if q in t.symbols)
+        m = mask_of(members)
+        q, qmask, flagged = _select_splitter(n, m)
+        count = (qmask & m).bit_count()
+        assert (q, count, flagged) == brute_force_splitter(members)
+        assert members_of(n, qmask & m) == frozenset(t for t in members if q in t.symbols)
         msize = len(members)
-        if not res.flagged:
-            assert -(-msize // 5) <= res.count <= (4 * msize) // 5
+        if not flagged:
+            assert -(-msize // 5) <= count <= (4 * msize) // 5
         else:
             # the guarantee can only fail for tiny sets
             assert msize <= 4
