@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
+from .families import generate, parse_family
 from .measures import MeasureReport, measure
 from .oracle import Oracle
 from .reconstruct import (
@@ -143,8 +144,9 @@ def parse_sweep(textio) -> list[dict]:
     a cartesian product. '#' starts a comment.
 
     Keys: algo, family, n, sigma (default 2), seed (default 0),
-    repeat (default 1, distinct seeds). Unknown algorithms, and universal
-    groups longer than the enumeration cap, are rejected before anything runs.
+    repeat (default 1, distinct seeds). Unknown algorithms and families, and
+    universal groups longer than the enumeration cap, are rejected before
+    anything runs.
     """
     groups: list[dict] = []
     for lineno, raw in enumerate(textio, 1):
@@ -167,6 +169,11 @@ def parse_sweep(textio) -> list[dict]:
                 raise ValueError(f"sweep line {lineno}: unknown algo {algo!r}")
             if algo.startswith("universal-") and max(map(int, opts["n"])) > DEFAULT_CAP:
                 raise ValueError(f"sweep line {lineno}: {algo} needs n <= {DEFAULT_CAP}")
+        for family in opts["family"]:
+            try:
+                parse_family(family)
+            except ValueError as e:
+                raise ValueError(f"sweep line {lineno}: {e}") from None
         opts.setdefault("sigma", ["2"])
         opts.setdefault("seed", ["0"])
         repeat = int(opts.pop("repeat", ["1"])[0])
@@ -187,8 +194,6 @@ def parse_sweep(textio) -> list[dict]:
 
 
 def run_experiments(sweep: list[dict], log=sys.stderr) -> list[ExperimentRow]:
-    from .families import generate
-
     rows: list[ExperimentRow] = []
     cache: dict[tuple, tuple[Text, MeasureReport]] = {}
     for exp in sweep:

@@ -12,58 +12,62 @@ import re
 
 from .text import Text
 
-FAMILIES = ("random", "unary", "periodic", "fibonacci", "thue-morse", "runs(k)", "copy-paste(r)")
+_PLAIN = ("random", "unary", "periodic", "fibonacci", "thue-morse")
+FAMILIES = _PLAIN + ("runs(k)", "copy-paste(r)")
 
-_RUNS_RE = re.compile(r"runs\((\d+)\)\Z")
-_COPY_RE = re.compile(r"copy-paste\((\d+)\)\Z")
+_PARAMETRIC_RE = re.compile(r"(runs|copy-paste)\((\d+)\)\Z")
+
+
+def parse_family(family: str) -> tuple[str, int]:
+    """(kind, parameter) of a family name: ("runs", k) for runs(k),
+    ("copy-paste", r) for copy-paste(r), (family, 0) for the others.
+    Raises ValueError for an unknown name or a parameter below 1."""
+    m = _PARAMETRIC_RE.match(family)
+    if m and int(m.group(2)) >= 1:
+        return m.group(1), int(m.group(2))
+    if family not in _PLAIN:
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)} with k, r >= 1")
+    return family, 0
 
 
 def generate(family: str, n: int, sigma: int, seed: int = 0) -> Text:
     """A length-n string of the given family; pure in all four arguments."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if family == "random":
+    kind, k = parse_family(family)
+    if kind == "random":
         rng = random.Random(seed)
         return Text(bytes(rng.choices(range(1, sigma + 1), k=n)), sigma)
-    if family == "unary":
+    if kind == "unary":
         return Text(b"\x01" * n, max(1, sigma))
-    if family == "periodic":
+    if kind == "periodic":
         block = bytes((i % sigma) + 1 for i in range(max(2, sigma)))
         reps = -(-n // len(block))
         return Text((block * reps)[:n], sigma)
-    if family == "fibonacci":
+    if kind == "fibonacci":
         if sigma != 2:
             raise ValueError("fibonacci strings are binary")
         a, b = b"\x01", b"\x01\x02"
         while len(b) < n:
             a, b = b, b + a
         return Text(b[:n], 2)
-    if family == "thue-morse":
+    if kind == "thue-morse":
         if sigma != 2:
             raise ValueError("thue-morse strings are binary")
         return Text(bytes((i.bit_count() & 1) + 1 for i in range(n)), 2)
-    m = _RUNS_RE.match(family)
-    if m:
-        k = int(m.group(1))
-        if k < 1:
-            raise ValueError("run length must be >= 1")
+    if kind == "runs":  # runs of length k
         out = bytearray()
         sym = 0
         while len(out) < n:
             out.extend(bytes(((sym % sigma) + 1,)) * k)
             sym += 1
         return Text(bytes(out[:n]), sigma)
-    m = _COPY_RE.match(family)
-    if m:
-        r = int(m.group(1))
-        if r < 1:
-            raise ValueError("need at least one copy operation")
-        rng = random.Random(seed)
-        seed_len = max(1, n // (r + 1))
-        out = bytearray(rng.choices(range(1, sigma + 1), k=min(n, seed_len)))
-        while len(out) < n:
-            take = max(1, min(len(out), -(-(n - len(out)) // r)))
-            start = rng.randrange(0, len(out) - take + 1)
-            out.extend(out[start : start + take])
-        return Text(bytes(out[:n]), sigma)
-    raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    # copy-paste: a random seed grown by k copy operations
+    rng = random.Random(seed)
+    seed_len = max(1, n // (k + 1))
+    out = bytearray(rng.choices(range(1, sigma + 1), k=min(n, seed_len)))
+    while len(out) < n:
+        take = max(1, min(len(out), -(-(n - len(out)) // k)))
+        start = rng.randrange(0, len(out) - take + 1)
+        out.extend(out[start : start + take])
+    return Text(bytes(out[:n]), sigma)

@@ -2,25 +2,30 @@
 
 Four strategies, all exact:
 
-- naive: one symbol at a time, forward until stuck, then backward.
+- naive: one symbol at a time.
 - rle: one maximal run at a time; run lengths found by exponential search.
-- lz-prefix: one LZ77-style phrase at a time against a prefix oracle; each
-  phrase is the longest known substring that still extends the prefix, found
-  by searching the centroid decomposition of the suffix tree built (online)
-  over everything reconstructed so far.
-- lz-substring: the same phrase machinery against a plain substring oracle,
-  forward until the known string becomes a suffix, then backward over the
-  reversed string.
+- lz-substring: one LZ77-style phrase at a time; each phrase is the longest
+  known substring that still extends the known string, found by searching
+  the centroid decomposition of the suffix tree built (online) over
+  everything reconstructed so far.
+- lz-prefix: the same phrase machinery against a prefix oracle, forward only.
 
-Forward-stuck soundness (used by naive, rle and lz-substring): if R occurs
-in the hidden string S and no single-symbol right extension of R occurs,
-then every occurrence of R is a suffix occurrence, hence R occurs exactly
-once, as a suffix. Symmetrically, when no left extension exists the known
-string is a prefix, so both phases together pin down S exactly.
+Each strategy is a grow loop over an extension model: `_Forward` appends to
+the known string (substring or prefix queries), `_Backward` prepends to it
+(substring queries, in reversed orientation). naive, rle and lz-substring
+share one driver, `_both_ways`: forward until stuck, then backward.
+
+Forward-stuck soundness: if R occurs in the hidden string S and no
+single-symbol right extension of R occurs, then every occurrence of R is a
+suffix occurrence, hence R occurs exactly once, as a suffix. Symmetrically,
+when no left extension exists the known string is a prefix, so both phases
+together pin down S exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import count
 
 from .centroid import CentroidTree, decompose
 from .oracle import QueryStats
@@ -31,6 +36,9 @@ from .text import Text
 # known string grows by this factor; between refreshes the search runs on a
 # slightly stale tree, which can only shorten phrases, never break them.
 _REBUILD_FACTOR = 2
+
+# Single-symbol extensions, built once: _SYMBOLS[c] == bytes((c,)).
+_SYMBOLS = tuple(bytes((c,)) for c in range(256))
 
 
 class ReconstructionError(RuntimeError):
@@ -83,108 +91,6 @@ def _max_true(pred, known: int = 1, cap: int | None = None) -> int:
         else:
             hi = mid
     return lo
-
-
-def reconstruct_naive(o, sigma: int) -> ReconstructionReport:
-    """Symbol-by-symbol reconstruction: at most sigma*(n+2) substring queries
-    (each recovered symbol costs <= sigma probes, plus one full round of
-    failures per direction)."""
-    _check_sigma(o, sigma)
-    contains = o.contains_substring
-    buf = bytearray()
-    fwd = 0
-    while True:
-        got = False
-        for c in range(1, sigma + 1):
-            buf.append(c)
-            if contains(buf):
-                got = True
-                break
-            buf.pop()
-        if not got:
-            break
-        fwd += 1
-    known = bytes(buf)
-    bwd = 0
-    while True:
-        probe = bytearray(len(known) + 1)
-        probe[1:] = known
-        got = False
-        for c in range(1, sigma + 1):
-            probe[0] = c
-            if contains(probe):
-                got = True
-                break
-        if not got:
-            break
-        known = bytes(probe)
-        bwd += 1
-    return ReconstructionReport(
-        recovered=Text(known, sigma),
-        stats=o.stats(),
-        phases=[Phase("forward", fwd, "characters"), Phase("backward", bwd, "characters")],
-        algorithm="naive",
-    )
-
-
-def reconstruct_rle(o, sigma: int) -> ReconstructionReport:
-    """Run-by-run reconstruction: each maximal run costs <= sigma symbol
-    probes plus an exponential search on the run length.
-
-    Each accepted run is maximal at its (unique, by the suffix invariant)
-    occurrence, so the same symbol cannot start the next run and is skipped.
-    """
-    _check_sigma(o, sigma)
-    contains = o.contains_substring
-    known = bytearray()
-    skip = 0
-    fwd = 0
-    while True:
-        got = 0
-        for c in range(1, sigma + 1):
-            if c == skip:
-                continue
-            known.append(c)
-            if contains(known):
-                got = c
-                break
-            known.pop()
-        if not got:
-            break
-        base = bytes(known[:-1])
-        unit = bytes((got,))
-        r = _max_true(lambda l: contains(base + unit * l))
-        known = bytearray(base + unit * r)
-        skip = got
-        fwd += 1
-    tail = bytes(known)
-    # the first run of `tail` is maximal (it was found as the longest run of
-    # its symbol anywhere, or accepted by a failed longer probe), so its
-    # symbol cannot be prepended either
-    skip = tail[0]
-    bwd = 0
-    while True:
-        got = 0
-        for c in range(1, sigma + 1):
-            if c == skip:
-                continue
-            if contains(bytes((c,)) + tail):
-                got = c
-                break
-        if not got:
-            break
-        unit = bytes((got,))
-        r = _max_true(lambda l: contains(unit * l + tail))
-        tail = unit * r + tail
-        skip = got
-        bwd += 1
-    return ReconstructionReport(
-        recovered=Text(tail, sigma),
-        stats=o.stats(),
-        phases=[Phase("forward", fwd, "runs"), Phase("backward", bwd, "runs")],
-        algorithm="rle",
-        extras={"run_steps": fwd + bwd},
-    )
 
 
 def _memoized(query):
@@ -266,16 +172,16 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, ext) -> bytes:
         cur = nxt
 
 
-class _ForwardSubstring:
-    """Right extension by substring queries; the growing buffer is reused so
-    each probe costs O(|t|) construction."""
+class _Forward:
+    """Right extension by `query` (o.contains_substring or o.is_prefix); the
+    growing buffer is reused so each probe costs O(|t|) construction."""
 
     __slots__ = ("_query", "buf", "base")
 
-    def __init__(self, o, seed: bytes):
-        self._query = o.contains_substring
-        self.buf = bytearray(seed)
-        self.base = len(seed)
+    def __init__(self, query):
+        self._query = query
+        self.buf = bytearray()
+        self.base = 0
 
     def query(self, t: bytes) -> bool:
         buf = self.buf
@@ -283,43 +189,69 @@ class _ForwardSubstring:
         buf += t
         return self._query(buf)
 
-    def advance(self, phrase: bytes) -> None:
-        buf = self.buf
-        del buf[self.base:]
-        buf += phrase
-        self.base = len(buf)
+    def advance(self, t: bytes) -> None:
+        del self.buf[self.base:]
+        self.buf += t
+        self.base = len(self.buf)
 
     def result(self) -> bytes:
-        del self.buf[self.base:]
-        return bytes(self.buf)
+        return bytes(self.buf[: self.base])
 
 
-class _ForwardPrefix(_ForwardSubstring):
-    __slots__ = ()
-
-    def __init__(self, o, seed: bytes):
-        super().__init__(o, seed)
-        self._query = o.is_prefix
-
-
-class _BackwardSubstring:
-    """Left extension driven in reversed orientation: the grow loop works on
-    reverse(known) while queries are flipped back to text order."""
+class _Backward:
+    """Left extension of `known` by substring queries in reversed orientation:
+    a grow loop works on reverse(known); queries are flipped to text order."""
 
     __slots__ = ("_query", "known")
 
-    def __init__(self, o, seed_reversed: bytes):
-        self._query = o.contains_substring
-        self.known = seed_reversed[::-1]
+    def __init__(self, query, known: bytes):
+        self._query = query
+        self.known = known
 
     def query(self, t: bytes) -> bool:
         return self._query(t[::-1] + self.known)
 
-    def advance(self, phrase: bytes) -> None:
-        self.known = phrase[::-1] + self.known
+    def advance(self, t: bytes) -> None:
+        self.known = t[::-1] + self.known
 
     def result(self) -> bytes:
         return self.known
+
+
+def _grow_symbols(sigma: int, model, seed: bytes) -> int:
+    """Naive: one symbol per step, the smallest that extends; at most sigma
+    probes per step plus one full round of failures."""
+    query, advance = model.query, model.advance
+    symbols = _SYMBOLS[1 : sigma + 1]
+    for steps in count():
+        for t in symbols:
+            if query(t):
+                advance(t)
+                break
+        else:
+            return steps
+
+
+def _grow_runs(sigma: int, model, seed: bytes) -> int:
+    """rle: one maximal run per step; at most sigma symbol probes plus an
+    exponential search on the run length.
+
+    Each accepted run is maximal at its (unique, by the suffix invariant)
+    occurrence, so the same symbol cannot start the next run and is skipped.
+    The last run of the seed is maximal as well (it was found as the longest
+    run of its symbol anywhere, or accepted by a failed longer probe).
+    """
+    query = model.query
+    skip = seed[-1] if seed else 0
+    for steps in count():
+        for c in range(1, sigma + 1):
+            if c != skip and query(_SYMBOLS[c]):
+                break
+        else:
+            return steps
+        unit = _SYMBOLS[c]
+        model.advance(unit * _max_true(lambda l: query(unit * l)))
+        skip = c
 
 
 def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
@@ -335,13 +267,11 @@ def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
     ct = decompose_snapshot(snap)
     records.append((ct.size, ct.height, ct.balanced))
     snap_len = len(seed)
-    phrases = 0
-    while True:
+    for phrases in count():
         ext = _memoized(model.query)
         phrase = _phrase_search(snap, ct, ext)
         if not phrase:
-            for c in range(1, sigma + 1):
-                probe = bytes((c,))
+            for probe in _SYMBOLS[1 : sigma + 1]:
                 if ext(probe):
                     phrase = probe
                     break
@@ -349,12 +279,47 @@ def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
             return phrases
         model.advance(phrase)
         st.extend(phrase)
-        phrases += 1
         if len(st.text) >= max(1, snap_len * _REBUILD_FACTOR):
             snap = st.snapshot()
             ct = decompose_snapshot(snap)
             records.append((ct.size, ct.height, ct.balanced))
             snap_len = len(st.text)
+
+
+def _both_ways(o, sigma: int, grow, algorithm: str, unit: str, **extras) -> ReconstructionReport:
+    """Grow forward by substring queries until the known string is provably a
+    suffix, then backward from it until it is also a prefix.
+
+    grow(sigma, model, seed) -> steps extends the model until nothing
+    extends it; `seed` is the model's known string in model orientation.
+    """
+    _check_sigma(o, sigma)
+    fwd = _Forward(o.contains_substring)
+    pf = grow(sigma, fwd, b"")
+    suffix = fwd.result()
+    bwd = _Backward(o.contains_substring, suffix)
+    pb = grow(sigma, bwd, suffix[::-1])
+    return ReconstructionReport(
+        recovered=Text(bwd.result(), sigma),
+        stats=o.stats(),
+        phases=[Phase("forward", pf, unit), Phase("backward", pb, unit)],
+        algorithm=algorithm,
+        phrases_emitted=pf + pb if unit == "phrases" else 0,
+        extras=extras,
+    )
+
+
+def reconstruct_naive(o, sigma: int) -> ReconstructionReport:
+    """Symbol-by-symbol reconstruction: at most sigma*(n+2) substring queries
+    (each recovered symbol costs <= sigma probes, plus one full round of
+    failures per direction)."""
+    return _both_ways(o, sigma, _grow_symbols, "naive", "characters")
+
+
+def reconstruct_rle(o, sigma: int) -> ReconstructionReport:
+    """Run-by-run reconstruction: each maximal run costs <= sigma symbol
+    probes plus an exponential search on the run length."""
+    return _both_ways(o, sigma, _grow_runs, "rle", "runs")
 
 
 def reconstruct_lz_prefix(o, sigma: int) -> ReconstructionReport:
@@ -363,7 +328,7 @@ def reconstruct_lz_prefix(o, sigma: int) -> ReconstructionReport:
     string."""
     _check_sigma(o, sigma)
     records: list = []
-    model = _ForwardPrefix(o, b"")
+    model = _Forward(o.is_prefix)
     phrases = _lz_grow(sigma, model, b"", records)
     return ReconstructionReport(
         recovered=Text(model.result(), sigma),
@@ -379,18 +344,6 @@ def reconstruct_lz_substring(o, sigma: int) -> ReconstructionReport:
     """Phrase-at-a-time reconstruction with substring queries only: forward
     until the known string is (provably) a suffix, then the same machinery
     on the reversed string until it is also a prefix."""
-    _check_sigma(o, sigma)
     records: list = []
-    fwd_model = _ForwardSubstring(o, b"")
-    pf = _lz_grow(sigma, fwd_model, b"", records)
-    suffix = fwd_model.result()
-    bwd_model = _BackwardSubstring(o, suffix[::-1])
-    pb = _lz_grow(sigma, bwd_model, suffix[::-1], records)
-    return ReconstructionReport(
-        recovered=Text(bwd_model.result(), sigma),
-        stats=o.stats(),
-        phases=[Phase("forward", pf, "phrases"), Phase("backward", pb, "phrases")],
-        algorithm="lz-substring",
-        phrases_emitted=pf + pb,
-        extras={"decompositions": records},
-    )
+    grow = partial(_lz_grow, records=records)
+    return _both_ways(o, sigma, grow, "lz-substring", "phrases", decompositions=records)

@@ -135,8 +135,9 @@ class _Universe:
 
 
 _universe_cache: dict[int, _Universe] = {}
-_code_len_cache: dict[tuple[str, int], list[int]] = {}
-_candidate_mask_cache: dict[tuple[str, int, int], int] = {}
+# Keyed by the compressor object, not its name: two compressors may share one.
+_code_len_cache: dict[tuple[Compressor, int], list[int]] = {}
+_candidate_mask_cache: dict[tuple[Compressor, int, int], int] = {}
 _splitter_memo: dict[int, dict[int, tuple[bytes, int, bool]]] = {}
 
 
@@ -148,7 +149,7 @@ def _universe(n: int) -> _Universe:
 
 
 def _code_lengths(c: Compressor, n: int) -> list[int]:
-    key = (c.name, n)
+    key = (c, n)
     lens = _code_len_cache.get(key)
     if lens is None:
         uni = _universe(n)
@@ -161,7 +162,7 @@ def _candidate_mask(c: Compressor, n: int, k: int) -> int:
     """Bitmask over the 2^n strings of M_k, the ones whose codes fit in k
     bits; raises ValueError when M_k outnumbers the 2^(k+1) - 2 nonempty
     codes of at most k bits, since then c cannot be injective."""
-    key = (c.name, n, k)
+    key = (c, n, k)
     mask = _candidate_mask_cache.get(key)
     if mask is None:
         mask = 0

@@ -112,8 +112,9 @@ def test_parse_sweep_errors():
 @pytest.mark.parametrize(
     "bad, message",
     [("algo=naive,nope family=random n=10", "line 2: unknown algo 'nope'"),
-     ("algo=universal-identity family=random n=8,17", "line 2: universal-identity needs n <= 16")],
-    ids=["unknown-algo", "universal-over-cap"],
+     ("algo=universal-identity family=random n=8,17", "line 2: universal-identity needs n <= 16"),
+     ("algo=naive family=random,nope n=10", "line 2: unknown family 'nope'")],
+    ids=["unknown-algo", "universal-over-cap", "unknown-family"],
 )
 def test_parse_sweep_rejects_a_bad_group_before_running(bad, message):
     with pytest.raises(ValueError, match=re.escape(message)):

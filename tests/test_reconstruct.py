@@ -1,6 +1,7 @@
 """Exactness and query bounds of the four reconstruction algorithms."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -90,7 +91,7 @@ def test_rle_query_count_scales_with_runs():
     hidden = Text(b"\x01" * 1000, 4)
     rep = reconstruct_rle(Oracle(hidden), 4)
     assert rep.recovered.symbols == hidden.symbols
-    assert rep.extras["run_steps"] == 1
+    assert sum(p.units for p in rep.phases) == 1
     # one run: alphabet probes plus one exponential search
     assert rep.stats.substring_queries <= 4 * 1 * (4 + 10 + 2)
 
@@ -212,3 +213,46 @@ def test_run_one_row_is_consistent(name):
     assert (row.n, row.sigma, row.rle, row.z, row.z_no) == (m.n, m.sigma, m.rle, m.z, m.z_no)
     assert row.exact and row.bound_ok
     assert row.sub_q + row.pre_q > 0
+
+
+class _HashingOracle(Oracle):
+    """An oracle that also feeds (kind, answer, length, query bytes) of every
+    query to a hash, so the hash pins the whole transcript."""
+
+    __slots__ = ("digest",)
+
+    def __init__(self, hidden: Text, digest):
+        super().__init__(hidden)
+        self.digest = digest
+
+    def _log(self, kind: bytes, q, answer: bool) -> bool:
+        self.digest.update(b"%s%d %d:" % (kind, answer, len(q)))
+        self.digest.update(q)
+        return answer
+
+    def contains_substring(self, q) -> bool:
+        return self._log(b"S", q, super().contains_substring(q))
+
+    def is_prefix(self, q) -> bool:
+        return self._log(b"P", q, super().is_prefix(q))
+
+
+PINNED_TRANSCRIPTS = {
+    "naive": "e7ed59377e515d86a9826387e1cb8116a625d173286e9a71fa14f160ed7907a0",
+    "rle": "4396209bf1e8428d54e82f0bf6942f4bbae3c81739f4398216d5c04a30fe8668",
+    "lz-prefix": "cdc6ae285f1a800705d6ba38bffff107feb989b339e32c07d34e3e3cc318fc8d",
+    "lz-substring": "878731b0fc376b366d25fc42a57de99d8fe9671918d17751fce87e7a6386bb77",
+}
+
+
+@pytest.mark.parametrize("algo", ALGOS, ids=ALGO_NAMES)
+def test_transcripts_match_pinned_digests(algo):
+    # a refactor that still reconstructs exactly but asks other queries, or
+    # the same ones in another order, changes these digests
+    h = hashlib.sha256()
+    for family, n, sigma in [("random", 300, 4), ("runs(5)", 200, 3),
+                             ("periodic", 120, 5), ("fibonacci", 233, 2)]:
+        hidden = generate(family, n, sigma, seed=1)
+        rep = algo(_HashingOracle(hidden, h), sigma)
+        assert rep.recovered.symbols == hidden.symbols
+    assert h.hexdigest() == PINNED_TRANSCRIPTS[rep.algorithm]

@@ -256,6 +256,21 @@ def test_universal_profits_from_compressible_strings():
     assert o.stats().substring_queries <= 15 * len(comp.compress(unary)) + 25 < 15 * n
 
 
+def test_universal_tables_are_per_compressor_not_per_name():
+    # two different codes under one name must not share code lengths
+    class RunsNamedSame(RunLengthBits):
+        name = "same"
+
+    class IdentityNamedSame(IdentityBits):
+        name = "same"
+
+    hidden = from_bits("0000011111")
+    for comp in (RunsNamedSame(), IdentityNamedSame()):
+        rep = reconstruct_universal(Oracle(hidden), len(hidden), comp)
+        assert rep.recovered == hidden
+        assert rep.extras["code_length"] == len(comp.compress(hidden))
+
+
 def test_universal_validates_input():
     o = Oracle(from_bits("0101"))
     with pytest.raises(ValueError):
