@@ -1,7 +1,10 @@
 """Suffix automaton: a linear-size index of all substrings of a string.
 
 Used as the factorization engine in :mod:`strrecon.measures`: it knows, for
-every substring, the end position of its first occurrence.
+every substring, the end position of its first occurrence. It also backs the
+oracle's right cursors (:mod:`strrecon.oracle`), which flatten its
+transitions into one array and walk each probe from the state of the known
+string.
 """
 from __future__ import annotations
 

@@ -19,8 +19,9 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields
+from itertools import product
 
-from .families import generate, parse_family
+from .families import check_args, generate
 from .measures import MeasureReport, measure
 from .oracle import Oracle
 from .reconstruct import (
@@ -144,9 +145,9 @@ def parse_sweep(textio) -> list[dict]:
     a cartesian product. '#' starts a comment.
 
     Keys: algo, family, n, sigma (default 2), seed (default 0),
-    repeat (default 1, distinct seeds). Unknown algorithms and families, and
-    universal groups longer than the enumeration cap, are rejected before
-    anything runs.
+    repeat (default 1, distinct seeds). Unknown algorithms, groups that
+    `generate` would reject (families.check_args) and universal groups longer
+    than the enumeration cap are rejected before anything runs.
     """
     groups: list[dict] = []
     for lineno, raw in enumerate(textio, 1):
@@ -169,12 +170,12 @@ def parse_sweep(textio) -> list[dict]:
                 raise ValueError(f"sweep line {lineno}: unknown algo {algo!r}")
             if algo.startswith("universal-") and max(map(int, opts["n"])) > DEFAULT_CAP:
                 raise ValueError(f"sweep line {lineno}: {algo} needs n <= {DEFAULT_CAP}")
-        for family in opts["family"]:
+        opts.setdefault("sigma", ["2"])
+        for family, n, sigma in product(opts["family"], opts["n"], opts["sigma"]):
             try:
-                parse_family(family)
+                check_args(family, int(n), int(sigma))
             except ValueError as e:
                 raise ValueError(f"sweep line {lineno}: {e}") from None
-        opts.setdefault("sigma", ["2"])
         opts.setdefault("seed", ["0"])
         repeat = int(opts.pop("repeat", ["1"])[0])
         for algo in opts["algo"]:

@@ -18,23 +18,26 @@ FAMILIES = _PLAIN + ("runs(k)", "copy-paste(r)")
 _PARAMETRIC_RE = re.compile(r"(runs|copy-paste)\((\d+)\)\Z")
 
 
-def parse_family(family: str) -> tuple[str, int]:
+def check_args(family: str, n: int, sigma: int) -> tuple[str, int]:
     """(kind, parameter) of a family name: ("runs", k) for runs(k),
     ("copy-paste", r) for copy-paste(r), (family, 0) for the others.
-    Raises ValueError for an unknown name or a parameter below 1."""
+    Raises ValueError for arguments `generate` cannot serve: n below 1, an
+    unknown name, a parameter below 1, or a binary family with sigma != 2."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     m = _PARAMETRIC_RE.match(family)
     if m and int(m.group(2)) >= 1:
         return m.group(1), int(m.group(2))
     if family not in _PLAIN:
         raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)} with k, r >= 1")
+    if family in ("fibonacci", "thue-morse") and sigma != 2:
+        raise ValueError(f"{family} strings are binary")
     return family, 0
 
 
 def generate(family: str, n: int, sigma: int, seed: int = 0) -> Text:
     """A length-n string of the given family; pure in all four arguments."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    kind, k = parse_family(family)
+    kind, k = check_args(family, n, sigma)
     if kind == "random":
         rng = random.Random(seed)
         return Text(bytes(rng.choices(range(1, sigma + 1), k=n)), sigma)
@@ -45,15 +48,11 @@ def generate(family: str, n: int, sigma: int, seed: int = 0) -> Text:
         reps = -(-n // len(block))
         return Text((block * reps)[:n], sigma)
     if kind == "fibonacci":
-        if sigma != 2:
-            raise ValueError("fibonacci strings are binary")
         a, b = b"\x01", b"\x01\x02"
         while len(b) < n:
             a, b = b, b + a
         return Text(b[:n], 2)
     if kind == "thue-morse":
-        if sigma != 2:
-            raise ValueError("thue-morse strings are binary")
         return Text(bytes((i.bit_count() & 1) + 1 for i in range(n)), 2)
     if kind == "runs":  # runs of length k
         out = bytearray()

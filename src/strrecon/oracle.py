@@ -1,21 +1,34 @@
 """The query oracle: substring/prefix membership over a hidden string.
 
 Reconstruction code only ever sees an :class:`Oracle`; the hidden string is
-never exposed. Every query is counted, including repeated identical ones.
+never exposed. Every query is counted, including repeated identical ones, in
+one place (``Oracle._count``).
+
+Reconstructors ask only about ``known + t`` or ``t + known``, where ``known``
+is already verified, so they ask through cursors (:func:`cursor`). A cursor
+holds ``known``: ``probe(t)`` is one counted query and charges
+``len(known) + len(t)`` symbols, exactly as the full query would;
+``advance(t)`` extends ``known`` and asks nothing; ``result()`` returns
+``known``. A cursor of an object whose class is exactly :class:`Oracle`
+keeps the match state of ``known`` and answers in time linear in ``t``:
+
+- right (substring ``known + t``): the state of ``known`` in a suffix
+  automaton of the hidden string, built on the first probe;
+- left (substring ``reverse(t) + known``): the start positions of
+  ``known``, one slice compare each;
+- prefix (``known + t``): one slice compare at ``len(known)``.
+
+Any other object (a wrapper, or a subclass that overrides the query methods)
+gets a cursor that builds each full query and passes it to
+``contains_substring`` or ``is_prefix``, so it sees every query's bytes.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
+from .automaton import SuffixAutomaton
 from .text import Text
-
-# Locality cache tuning for the membership engine. Queries shorter than
-# _MIN_ANCHOR_LEN go straight to the C-level scan; longer successful queries
-# are remembered together with all their occurrence positions so that later
-# queries extending them are answered by checking a handful of positions.
-_MIN_ANCHOR_LEN = 12
-_MAX_ANCHOR_OCC = 32
-_CACHE_SLOTS = 4
 
 
 @dataclass
@@ -40,92 +53,14 @@ class QueryStats:
         return self.substring_queries + self.prefix_queries
 
 
-class _ScanEngine:
-    """Substring membership over a fixed text.
-
-    Answers are always those of a brute-force scan. The implementation uses
-    bytes.find (worst-case linear two-way search) plus a small cache of
-    recently matched queries and their occurrence positions: a query that
-    extends a cached one on either side is resolved by filtering those
-    positions instead of rescanning the text.
-    """
-
-    __slots__ = ("text", "n", "_anchors")
-
-    def __init__(self, text: bytes):
-        self.text = text
-        self.n = len(text)
-        # list of (query bytes, tuple of start positions), newest first
-        self._anchors: list[tuple[bytes, tuple[int, ...]]] = []
-
-    def contains(self, q) -> bool:
-        m = len(q)
-        n = self.n
-        if m == 0:
-            return True
-        if m > n:
-            return False
-        text = self.text
-        if m >= _MIN_ANCHOR_LEN:
-            anchors = self._anchors
-            for idx, (key, occ) in enumerate(anchors):
-                k = len(key)
-                if k > m:
-                    continue
-                if q.startswith(key):
-                    tail = bytes(q[k:])
-                    hits = tuple(
-                        p for p in occ if text[p + k : p + m] == tail
-                    )
-                elif q.endswith(key):
-                    shift = m - k
-                    head = bytes(q[:shift])
-                    hits = tuple(
-                        p - shift
-                        for p in occ
-                        if p >= shift and text[p - shift : p] == head
-                    )
-                else:
-                    continue
-                if idx:
-                    anchors.insert(0, anchors.pop(idx))
-                if hits:
-                    self._remember(bytes(q), hits)
-                    return True
-                return False
-            # no usable anchor: scan, and seed the cache on success
-            p = text.find(q)
-            if p < 0:
-                return False
-            occ_list = [p]
-            while len(occ_list) <= _MAX_ANCHOR_OCC:
-                p = text.find(q, p + 1)
-                if p < 0:
-                    break
-                occ_list.append(p)
-            if len(occ_list) <= _MAX_ANCHOR_OCC:
-                self._remember(bytes(q), tuple(occ_list))
-            return True
-        return text.find(q) >= 0
-
-    def _remember(self, key: bytes, occ: tuple[int, ...]) -> None:
-        anchors = self._anchors
-        for i, (k, _) in enumerate(anchors):
-            if k == key:
-                del anchors[i]
-                break
-        anchors.insert(0, (key, occ))
-        del anchors[_CACHE_SLOTS:]
-
-
 class Oracle:
     """Holds a hidden string; answers substring and prefix membership.
 
-    The matching engine is built once at construction; reconstruction
-    algorithms interact with the hidden string only through queries.
+    Reconstruction algorithms interact with the hidden string only through
+    queries, asked directly or through a :func:`cursor`.
     """
 
-    __slots__ = ("_hidden", "sigma", "_stats", "_engine")
+    __slots__ = ("_hidden", "sigma", "_stats")
 
     def __init__(self, hidden: Text):
         if len(hidden) == 0:
@@ -133,34 +68,220 @@ class Oracle:
         self._hidden = hidden.symbols
         self.sigma = hidden.sigma
         self._stats = QueryStats()
-        self._engine = _ScanEngine(self._hidden)
 
     def __len__(self) -> int:
         return len(self._hidden)
+
+    def _count(self, kind: str, length: int) -> None:
+        """Charge one query of `kind` ("substring" or "prefix") and `length`."""
+        st = self._stats
+        if kind == "prefix":
+            st.prefix_queries += 1
+        else:
+            st.substring_queries += 1
+        st.total_queried_symbols += length
+        if length > st.max_query_length:
+            st.max_query_length = length
 
     def contains_substring(self, q) -> bool:
         """Is q a substring of the hidden string? q may be Text or bytes-like."""
         if isinstance(q, Text):
             q = q.symbols
-        st = self._stats
-        st.substring_queries += 1
-        m = len(q)
-        st.total_queried_symbols += m
-        if m > st.max_query_length:
-            st.max_query_length = m
-        return self._engine.contains(q)
+        self._count("substring", len(q))
+        return self._hidden.find(q) >= 0
 
     def is_prefix(self, q) -> bool:
         """Is q a prefix of the hidden string?"""
         if isinstance(q, Text):
             q = q.symbols
-        st = self._stats
-        st.prefix_queries += 1
-        m = len(q)
-        st.total_queried_symbols += m
-        if m > st.max_query_length:
-            st.max_query_length = m
-        return self._hidden[:m] == q
+        self._count("prefix", len(q))
+        return self._hidden.startswith(q)
 
     def stats(self) -> QueryStats:
         return self._stats.snapshot()
+
+
+class _Right:
+    """Substring queries known + t: t is walked from the state of known in a
+    suffix automaton of the hidden string (Blumer et al. 1985), whose
+    transitions are flattened as nxt[s * sigma + c - 1] (0: no transition;
+    the root is never a target). State -1 means known does not occur."""
+
+    __slots__ = ("_o", "_known", "_nxt", "_state")
+
+    def __init__(self, o: Oracle, known: bytes):
+        self._o = o
+        self._known = bytearray(known)
+        self._nxt: array | None = None  # built on the first probe
+        self._state = 0
+
+    def _build(self) -> None:
+        sigma = self._o.sigma
+        rows = SuffixAutomaton(self._o._hidden).next
+        nxt = array("i", [0]) * (len(rows) * sigma)
+        for s, row in enumerate(rows):
+            base = s * sigma - 1
+            for c, target in row.items():
+                nxt[base + c] = target
+        self._nxt = nxt
+        self._state = self._walk(0, self._known)
+
+    def _walk(self, s: int, t) -> int:
+        """The state reached from s by reading t, or -1."""
+        if s < 0:
+            return s
+        nxt = self._nxt
+        sigma = self._o.sigma
+        for c in t:
+            if not 0 < c <= sigma:  # no such symbol; flat indexing would wrap
+                return -1
+            s = nxt[s * sigma + c - 1]
+            if not s:
+                return -1
+        return s
+
+    def probe(self, t) -> bool:
+        self._o._count("substring", len(self._known) + len(t))
+        if self._nxt is None:
+            self._build()
+        return self._walk(self._state, t) >= 0
+
+    def advance(self, t) -> None:
+        self._known += t
+        if self._nxt is not None:
+            self._state = self._walk(self._state, t)
+
+    def result(self) -> bytes:
+        return bytes(self._known)
+
+
+class _Left:
+    """Substring queries reverse(t) + known, t in the reversed orientation of
+    a grow loop that works on reverse(known): one slice compare per start
+    position of known. Once forward growth is stuck, known occurs exactly
+    once (reconstruct's forward-stuck soundness)."""
+
+    __slots__ = ("_o", "_rev", "_occ")
+
+    def __init__(self, o: Oracle, known: bytes):
+        hidden = o._hidden
+        occ = []
+        p = hidden.find(known)
+        while p >= 0:
+            occ.append(p)
+            p = hidden.find(known, p + 1)
+        self._o = o
+        self._rev = bytearray(known[::-1])
+        self._occ = occ
+
+    def probe(self, t) -> bool:
+        o = self._o
+        m = len(t)
+        o._count("substring", len(self._rev) + m)
+        head = t[::-1]
+        hidden = o._hidden
+        for p in self._occ:
+            if p >= m and hidden.startswith(head, p - m):
+                return True
+        return False
+
+    def advance(self, t) -> None:
+        m = len(t)
+        head = t[::-1]
+        hidden = self._o._hidden
+        self._occ = [p - m for p in self._occ if p >= m and hidden.startswith(head, p - m)]
+        self._rev += t
+
+    def result(self) -> bytes:
+        return bytes(self._rev[::-1])
+
+
+class _Prefix:
+    """Prefix queries known + t: one compare of t at len(known)."""
+
+    __slots__ = ("_o", "_known", "_ok")
+
+    def __init__(self, o: Oracle, known: bytes):
+        self._o = o
+        self._known = bytearray(known)
+        self._ok = o._hidden.startswith(known)
+
+    def probe(self, t) -> bool:
+        k = len(self._known)
+        self._o._count("prefix", k + len(t))
+        return self._ok and self._o._hidden.startswith(t, k)
+
+    def advance(self, t) -> None:
+        self._ok = self._ok and self._o._hidden.startswith(t, len(self._known))
+        self._known += t
+
+    def result(self) -> bytes:
+        return bytes(self._known)
+
+
+class _FullForward:
+    """Full-query cursor for known + t (`query` is contains_substring or
+    is_prefix); the growing buffer is reused, so building a probe costs
+    O(|t|)."""
+
+    __slots__ = ("_query", "buf", "base")
+
+    def __init__(self, query, known: bytes):
+        self._query = query
+        self.buf = bytearray(known)
+        self.base = len(self.buf)
+
+    def probe(self, t) -> bool:
+        buf = self.buf
+        del buf[self.base:]
+        buf += t
+        return self._query(buf)
+
+    def advance(self, t) -> None:
+        del self.buf[self.base:]
+        self.buf += t
+        self.base = len(self.buf)
+
+    def result(self) -> bytes:
+        return bytes(self.buf[: self.base])
+
+
+class _FullBackward:
+    """Full-query cursor for reverse(t) + known by substring queries, t in
+    reversed orientation as for the native left cursor."""
+
+    __slots__ = ("_query", "known")
+
+    def __init__(self, query, known: bytes):
+        self._query = query
+        self.known = bytes(known)
+
+    def probe(self, t) -> bool:
+        return self._query(t[::-1] + self.known)
+
+    def advance(self, t) -> None:
+        self.known = t[::-1] + self.known
+
+    def result(self) -> bytes:
+        return self.known
+
+
+_NATIVE = {"right": _Right, "left": _Left, "prefix": _Prefix}
+
+
+def cursor(o, side: str, known: bytes = b""):
+    """A cursor over `o` holding `known`, for side "right" (substring
+    queries known + t), "left" (substring queries reverse(t) + known) or
+    "prefix" (prefix queries known + t).
+
+    Only an object whose class is exactly Oracle gets a native cursor; any
+    other object is asked each full query through its contains_substring or
+    is_prefix, with the same bytes, answers and counts.
+    """
+    if side not in _NATIVE:
+        raise ValueError(f"unknown cursor side {side!r}; expected one of {', '.join(_NATIVE)}")
+    if type(o) is Oracle:
+        return _NATIVE[side](o, known)
+    if side == "left":
+        return _FullBackward(o.contains_substring, known)
+    return _FullForward(o.is_prefix if side == "prefix" else o.contains_substring, known)

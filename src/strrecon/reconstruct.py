@@ -10,10 +10,12 @@ Four strategies, all exact:
   everything reconstructed so far.
 - lz-prefix: the same phrase machinery against a prefix oracle, forward only.
 
-Each strategy is a grow loop over an extension model: `_Forward` appends to
-the known string (substring or prefix queries), `_Backward` prepends to it
-(substring queries, in reversed orientation). naive, rle and lz-substring
-share one driver, `_both_ways`: forward until stuck, then backward.
+Each strategy is a grow loop over an extension model, which is an oracle
+cursor (`oracle.cursor`): a "right" or "prefix" cursor appends to the known
+string, a "left" cursor prepends to it (substring queries, in reversed
+orientation). No other code here builds queries or calls the oracle. naive,
+rle and lz-substring share one driver, `_both_ways`: forward until stuck,
+then backward.
 
 Forward-stuck soundness: if R occurs in the hidden string S and no
 single-symbol right extension of R occurs, then every occurrence of R is a
@@ -28,7 +30,7 @@ from functools import partial
 from itertools import count
 
 from .centroid import CentroidTree, decompose
-from .oracle import QueryStats
+from .oracle import QueryStats, cursor
 from .suffix_tree import SuffixTree, TreeSnapshot
 from .text import Text
 
@@ -93,14 +95,14 @@ def _max_true(pred, known: int = 1, cap: int | None = None) -> int:
     return lo
 
 
-def _memoized(query):
-    """query(t), asked at most once per distinct candidate t."""
+def _memoized(probe):
+    """probe(t), asked at most once per distinct candidate t."""
     memo: dict[bytes, bool] = {}
 
     def ext(t: bytes) -> bool:
         a = memo.get(t)
         if a is None:
-            a = memo[t] = bool(query(t))
+            a = memo[t] = bool(probe(t))
         return a
 
     return ext
@@ -172,60 +174,14 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, ext) -> bytes:
         cur = nxt
 
 
-class _Forward:
-    """Right extension by `query` (o.contains_substring or o.is_prefix); the
-    growing buffer is reused so each probe costs O(|t|) construction."""
-
-    __slots__ = ("_query", "buf", "base")
-
-    def __init__(self, query):
-        self._query = query
-        self.buf = bytearray()
-        self.base = 0
-
-    def query(self, t: bytes) -> bool:
-        buf = self.buf
-        del buf[self.base:]
-        buf += t
-        return self._query(buf)
-
-    def advance(self, t: bytes) -> None:
-        del self.buf[self.base:]
-        self.buf += t
-        self.base = len(self.buf)
-
-    def result(self) -> bytes:
-        return bytes(self.buf[: self.base])
-
-
-class _Backward:
-    """Left extension of `known` by substring queries in reversed orientation:
-    a grow loop works on reverse(known); queries are flipped to text order."""
-
-    __slots__ = ("_query", "known")
-
-    def __init__(self, query, known: bytes):
-        self._query = query
-        self.known = known
-
-    def query(self, t: bytes) -> bool:
-        return self._query(t[::-1] + self.known)
-
-    def advance(self, t: bytes) -> None:
-        self.known = t[::-1] + self.known
-
-    def result(self) -> bytes:
-        return self.known
-
-
 def _grow_symbols(sigma: int, model, seed: bytes) -> int:
     """Naive: one symbol per step, the smallest that extends; at most sigma
     probes per step plus one full round of failures."""
-    query, advance = model.query, model.advance
+    probe, advance = model.probe, model.advance
     symbols = _SYMBOLS[1 : sigma + 1]
     for steps in count():
         for t in symbols:
-            if query(t):
+            if probe(t):
                 advance(t)
                 break
         else:
@@ -241,16 +197,16 @@ def _grow_runs(sigma: int, model, seed: bytes) -> int:
     The last run of the seed is maximal as well (it was found as the longest
     run of its symbol anywhere, or accepted by a failed longer probe).
     """
-    query = model.query
+    probe = model.probe
     skip = seed[-1] if seed else 0
     for steps in count():
         for c in range(1, sigma + 1):
-            if c != skip and query(_SYMBOLS[c]):
+            if c != skip and probe(_SYMBOLS[c]):
                 break
         else:
             return steps
         unit = _SYMBOLS[c]
-        model.advance(unit * _max_true(lambda l: query(unit * l)))
+        model.advance(unit * _max_true(lambda l: probe(unit * l)))
         skip = c
 
 
@@ -268,7 +224,7 @@ def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
     records.append((ct.size, ct.height, ct.balanced))
     snap_len = len(seed)
     for phrases in count():
-        ext = _memoized(model.query)
+        ext = _memoized(model.probe)
         phrase = _phrase_search(snap, ct, ext)
         if not phrase:
             for probe in _SYMBOLS[1 : sigma + 1]:
@@ -294,10 +250,11 @@ def _both_ways(o, sigma: int, grow, algorithm: str, unit: str, **extras) -> Reco
     extends it; `seed` is the model's known string in model orientation.
     """
     _check_sigma(o, sigma)
-    fwd = _Forward(o.contains_substring)
+    fwd = cursor(o, "right")
     pf = grow(sigma, fwd, b"")
     suffix = fwd.result()
-    bwd = _Backward(o.contains_substring, suffix)
+    del fwd  # frees its automaton before the backward phase
+    bwd = cursor(o, "left", suffix)
     pb = grow(sigma, bwd, suffix[::-1])
     return ReconstructionReport(
         recovered=Text(bwd.result(), sigma),
@@ -328,7 +285,7 @@ def reconstruct_lz_prefix(o, sigma: int) -> ReconstructionReport:
     string."""
     _check_sigma(o, sigma)
     records: list = []
-    model = _Forward(o.is_prefix)
+    model = cursor(o, "prefix")
     phrases = _lz_grow(sigma, model, b"", records)
     return ReconstructionReport(
         recovered=Text(model.result(), sigma),

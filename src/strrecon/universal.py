@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from typing import Protocol, Sequence
+from weakref import WeakKeyDictionary
 
 from .oracle import Oracle, QueryStats
 from .reconstruct import Phase, ReconstructionError, ReconstructionReport
@@ -25,6 +26,10 @@ _BASE_CASE = 5  # below this, candidates are cheaper to query in full
 
 
 class Compressor(Protocol):
+    """An injective code over length-n strings. The universal tables are kept
+    per compressor object and freed with it, so a compressor must be hashable
+    and weakly referenceable (a class with __slots__ lists __weakref__)."""
+
     name: str
 
     def compress(self, t: Text) -> tuple[int, ...]: ...
@@ -135,9 +140,11 @@ class _Universe:
 
 
 _universe_cache: dict[int, _Universe] = {}
-# Keyed by the compressor object, not its name: two compressors may share one.
-_code_len_cache: dict[tuple[Compressor, int], list[int]] = {}
-_candidate_mask_cache: dict[tuple[Compressor, int, int], int] = {}
+# Per-compressor tables, keyed by the compressor object (not its name: two
+# compressors may share one) and freed with it: code lengths by n, candidate
+# masks by (n, k).
+_code_len_cache: WeakKeyDictionary[Compressor, dict[int, list[int]]] = WeakKeyDictionary()
+_candidate_mask_cache: WeakKeyDictionary[Compressor, dict[tuple[int, int], int]] = WeakKeyDictionary()
 _splitter_memo: dict[int, dict[int, tuple[bytes, int, bool]]] = {}
 
 
@@ -149,12 +156,10 @@ def _universe(n: int) -> _Universe:
 
 
 def _code_lengths(c: Compressor, n: int) -> list[int]:
-    key = (c, n)
-    lens = _code_len_cache.get(key)
+    table = _code_len_cache.setdefault(c, {})
+    lens = table.get(n)
     if lens is None:
-        uni = _universe(n)
-        lens = [len(c.compress(Text(s, 2))) for s in uni.strings]
-        _code_len_cache[key] = lens
+        lens = table[n] = [len(c.compress(Text(s, 2))) for s in _universe(n).strings]
     return lens
 
 
@@ -162,8 +167,8 @@ def _candidate_mask(c: Compressor, n: int, k: int) -> int:
     """Bitmask over the 2^n strings of M_k, the ones whose codes fit in k
     bits; raises ValueError when M_k outnumbers the 2^(k+1) - 2 nonempty
     codes of at most k bits, since then c cannot be injective."""
-    key = (c, n, k)
-    mask = _candidate_mask_cache.get(key)
+    table = _candidate_mask_cache.setdefault(c, {})
+    mask = table.get((n, k))
     if mask is None:
         mask = 0
         for i, l in enumerate(_code_lengths(c, n)):
@@ -174,7 +179,7 @@ def _candidate_mask(c: Compressor, n: int, k: int) -> int:
                 f"{mask.bit_count()} length-{n} strings have codes of at most {k} "
                 f"bits under {c.name!r}; the compressor cannot be injective"
             )
-        _candidate_mask_cache[key] = mask
+        table[n, k] = mask
     return mask
 
 
@@ -318,7 +323,7 @@ class ReconstructorCodec:
     code of S is the bit sequence of oracle answers the algorithm sees while
     reconstructing S, so |code| equals its query count exactly."""
 
-    __slots__ = ("algo", "sigma", "name")
+    __slots__ = ("algo", "sigma", "name", "__weakref__")
 
     def __init__(self, algo, sigma: int, name: str | None = None):
         self.algo = algo

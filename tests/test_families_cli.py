@@ -113,8 +113,12 @@ def test_parse_sweep_errors():
     "bad, message",
     [("algo=naive,nope family=random n=10", "line 2: unknown algo 'nope'"),
      ("algo=universal-identity family=random n=8,17", "line 2: universal-identity needs n <= 16"),
-     ("algo=naive family=random,nope n=10", "line 2: unknown family 'nope'")],
-    ids=["unknown-algo", "universal-over-cap", "unknown-family"],
+     ("algo=naive family=random,nope n=10", "line 2: unknown family 'nope'"),
+     ("algo=naive family=fibonacci n=10 sigma=3", "line 2: fibonacci strings are binary"),
+     ("algo=naive family=random,thue-morse n=10 sigma=2,4", "line 2: thue-morse strings are binary"),
+     ("algo=naive family=random n=10,0", "line 2: n must be >= 1")],
+    ids=["unknown-algo", "universal-over-cap", "unknown-family",
+         "fibonacci-sigma", "thue-morse-sigma", "n-zero"],
 )
 def test_parse_sweep_rejects_a_bad_group_before_running(bad, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -6,7 +6,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strrecon import Oracle, Text
+from strrecon import (
+    Oracle,
+    Text,
+    generate,
+    reconstruct_lz_prefix,
+    reconstruct_lz_substring,
+    reconstruct_naive,
+    reconstruct_rle,
+)
+from strrecon.oracle import cursor
+
+ALGOS = [reconstruct_naive, reconstruct_rle, reconstruct_lz_prefix, reconstruct_lz_substring]
+ALGO_NAMES = ["naive", "rle", "lz-prefix", "lz-substring"]
+# (family, n, sigma): one run, one period, no structure, few LZ phrases
+CASES = [("unary", 2000, 1), ("periodic", 2000, 26), ("random", 2000, 26),
+         ("fibonacci", 1597, 2), ("random", 40, 3)]
 
 
 def mk(symbols: bytes, sigma: int | None = None) -> Text:
@@ -85,8 +100,8 @@ def test_bytearray_and_text_queries_accepted():
 
 
 def test_long_extension_sequences_match_brute_force():
-    # stresses the answer cache: long anchors extended on both sides,
-    # interleaved with unrelated probes
+    # long queries sharing one core, extended on both sides, interleaved
+    # with unrelated probes
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(30, 300)
@@ -103,3 +118,107 @@ def test_long_extension_sequences_match_brute_force():
             else:
                 q = bytes(rng.randint(1, 2) for _ in range(rng.randint(1, 20)))
             assert o.contains_substring(q) == (q in s), (s, q)
+
+
+class _PassThrough:
+    """A wrapper, so cursors over it take the full-query path."""
+
+    def __init__(self, o: Oracle):
+        self._o = o
+        self.sigma = o.sigma
+
+    def contains_substring(self, q) -> bool:
+        return self._o.contains_substring(q)
+
+    def is_prefix(self, q) -> bool:
+        return self._o.is_prefix(q)
+
+    def stats(self):
+        return self._o.stats()
+
+
+def _extensions(s: bytes, side: str, known: bytes) -> list[bytes]:
+    """Every t (at most 4 symbols) whose canonical query occurs in s."""
+    k = len(known)
+    starts = [0] if side == "prefix" else range(len(s) + 1)
+    found = set()
+    for p in starts:
+        if s[p : p + k] != known:
+            continue
+        for m in range(5):
+            if side == "left":
+                if p >= m:
+                    found.add(s[p - m : p][::-1])
+            elif p + k + m <= len(s):
+                found.add(s[p + k : p + k + m])
+    return sorted(found)
+
+
+@given(st.data())
+@settings(max_examples=500, deadline=None)
+def test_cursors_match_brute_force_on_the_canonical_query(data):
+    # seeds and steps are true extensions, pieces of the hidden string
+    # forward or reversed, or free strings with symbols 0 and sigma + 1
+    # (never in the hidden string): verified or not, unique or not, empty
+    # or not
+    sigma = data.draw(st.integers(min_value=1, max_value=3))
+    s = bytes(data.draw(st.lists(st.integers(1, sigma), min_size=1, max_size=40)))
+    cut = st.integers(0, len(s))
+    piece = st.tuples(cut, cut).map(lambda ij: s[min(ij) : max(ij)])
+    free = st.one_of(piece, piece.map(lambda b: b[::-1]),
+                     st.lists(st.integers(0, sigma + 1), max_size=5).map(bytes))
+    side = data.draw(st.sampled_from(["right", "left", "prefix"]))
+    known = data.draw(free)
+    native_o, full_o = Oracle(Text(s, sigma)), Oracle(Text(s, sigma))
+    cursors = [cursor(native_o, side, known), cursor(_PassThrough(full_o), side, known)]
+    calls = symbols = longest = 0
+    for _ in range(data.draw(st.integers(0, 30))):
+        ext = _extensions(s, side, known)
+        t = data.draw(st.sampled_from(ext) if ext and data.draw(st.booleans()) else free)
+        q = t[::-1] + known if side == "left" else known + t
+        if data.draw(st.booleans()):
+            for c in cursors:
+                c.advance(t)
+            known = q
+            continue
+        expected = s.startswith(q) if side == "prefix" else q in s
+        assert [c.probe(t) for c in cursors] == [expected, expected], (s, side, q)
+        calls += 1
+        symbols += len(q)
+        longest = max(longest, len(q))
+    assert [c.result() for c in cursors] == [known, known]
+    kind = "prefix_queries" if side == "prefix" else "substring_queries"
+    for o in (native_o, full_o):
+        stats = o.stats()
+        assert (getattr(stats, kind), stats.total_queries) == (calls, calls)
+        assert (stats.total_queried_symbols, stats.max_query_length) == (symbols, longest)
+
+
+def test_cursor_rejects_an_unknown_side():
+    with pytest.raises(ValueError, match="unknown cursor side"):
+        cursor(Oracle(mk(b"\x01")), "up")
+
+
+@pytest.mark.parametrize("algo", ALGOS, ids=ALGO_NAMES)
+def test_native_cursors_charge_what_full_queries_charge(algo):
+    for family, n, sigma in CASES:
+        hidden = generate(family, n, sigma, seed=5)
+        native = algo(Oracle(hidden), sigma)
+        full = algo(_PassThrough(Oracle(hidden)), sigma)
+        assert native.recovered == full.recovered == hidden
+        assert native.stats == full.stats  # all four QueryStats fields
+        assert native.phases == full.phases
+
+
+@pytest.mark.parametrize("algo", ALGOS, ids=ALGO_NAMES)
+def test_plain_oracle_reconstructs_without_building_full_queries(algo, monkeypatch):
+    # the native cursors answer in O(|t|); a full query per probe would
+    # cost O(|known|) more, so none may be asked on a plain Oracle
+    def refuse(self, q):
+        raise AssertionError("a full query was built")
+
+    monkeypatch.setattr(Oracle, "contains_substring", refuse)
+    monkeypatch.setattr(Oracle, "is_prefix", refuse)
+    for family, n, sigma in CASES:
+        hidden = generate(family, n, sigma, seed=5)
+        assert algo(Oracle(hidden), sigma).recovered == hidden

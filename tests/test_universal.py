@@ -2,8 +2,10 @@
 reconstruction-algorithm-as-compressor adapter."""
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from strrecon import (
     reconstruct_rle,
     reconstruct_universal,
 )
+from strrecon import universal
 from strrecon.universal import _candidate_mask, _select_splitter, elias_gamma, elias_gamma_decode
 
 
@@ -269,6 +272,27 @@ def test_universal_tables_are_per_compressor_not_per_name():
         rep = reconstruct_universal(Oracle(hidden), len(hidden), comp)
         assert rep.recovered == hidden
         assert rep.extras["code_length"] == len(comp.compress(hidden))
+
+
+def test_universal_tables_are_freed_with_their_compressor():
+    hidden = from_bits("0010110001")
+
+    def run(comp):
+        rep = reconstruct_universal(Oracle(hidden), len(hidden), comp, cap=10)
+        return rep.recovered, rep.stats, rep.extras
+
+    gc.collect()
+    tables = (universal._code_len_cache, universal._candidate_mask_cache)
+    before = [len(t) for t in tables]
+    codec = compressor_from_reconstructor(reconstruct_rle, 2)
+    first = run(codec)
+    assert all(codec in t for t in tables)
+    gone = weakref.ref(codec)
+    del codec
+    gc.collect()
+    assert gone() is None
+    assert [len(t) for t in tables] == before
+    assert run(compressor_from_reconstructor(reconstruct_rle, 2)) == first
 
 
 def test_universal_validates_input():
