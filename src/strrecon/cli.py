@@ -18,6 +18,7 @@ from . import bench
 from .families import generate
 from .measures import grammar_size_bound, measure
 from .text import Text, from_raw_bytes
+from .universal import DEFAULT_CAP
 
 
 def _load_text(args) -> tuple[Text, str]:
@@ -73,8 +74,16 @@ def _cmd_reconstruct(args) -> int:
     return _emit([row])
 
 
+def _check_cap(args, n: int) -> None:
+    if n > DEFAULT_CAP:
+        raise SystemExit(f"universal-{args.compressor} needs n <= {DEFAULT_CAP}, got n={n}")
+
+
 def _cmd_universal(args) -> int:
+    if not args.file:
+        _check_cap(args, args.n)  # before generating anything
     hidden, family = _load_text(args)
+    _check_cap(args, len(hidden))
     if hidden.sigma > 2 or any(s > 2 for s in hidden.symbols):
         raise SystemExit("universal reconstruction handles binary strings only")
     hidden = Text(hidden.symbols, 2)

@@ -199,6 +199,19 @@ def test_cli_universal_rejects_nonbinary():
               "--n", "8", "--sigma", "3"])
 
 
+def test_cli_universal_rejects_n_above_the_cap_before_generating(tmp_path, monkeypatch):
+    def no_generate(*args):
+        raise AssertionError("generated a string above the cap")
+
+    monkeypatch.setattr("strrecon.cli.generate", no_generate)
+    with pytest.raises(SystemExit, match=r"^universal-identity needs n <= 16, got n=20$"):
+        main(["universal", "--compressor", "identity", "--family", "random", "--n", "20"])
+    path = tmp_path / "long.bin"
+    path.write_bytes(b"ab" * 10)
+    with pytest.raises(SystemExit, match=r"^universal-rle-bits needs n <= 16, got n=20$"):
+        main(["universal", "--compressor", "rle-bits", "--file", str(path)])
+
+
 def test_cli_bench(tmp_path, capsys):
     sweep = tmp_path / "sweep.txt"
     sweep.write_text("algo=naive,rle family=random n=25 sigma=2 repeat=2\n")

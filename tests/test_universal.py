@@ -3,8 +3,13 @@ reconstruction-algorithm-as-compressor adapter."""
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import weakref
 
 import pytest
@@ -23,8 +28,17 @@ from strrecon import (
     reconstruct_rle,
     reconstruct_universal,
 )
+import strrecon
 from strrecon import universal
-from strrecon.universal import _candidate_mask, _select_splitter, elias_gamma, elias_gamma_decode
+from strrecon.bench import COMPRESSORS
+from strrecon.universal import (
+    DEFAULT_CAP,
+    _candidate_mask,
+    _select_splitter,
+    _Universe,
+    elias_gamma,
+    elias_gamma_decode,
+)
 
 
 def all_binary(n: int):
@@ -161,6 +175,38 @@ def test_rle_budget_keeps_only_compressible_strings():
     assert not m >> index(from_bits("01" * 5)) & 1
 
 
+# ------------------------------------------------------------ query order
+
+def eager_queries(n: int) -> list[tuple[bytes, int]]:
+    """Every substring of every length-n binary string with its membership
+    mask, shortest first, then lexicographic: the table the universe used
+    to build in full before any search."""
+    sub_mask: dict[bytes, int] = {}
+    for t in all_binary(n):
+        s = t.symbols
+        for q in {s[a:b] for a in range(n) for b in range(a + 1, n + 1)}:
+            sub_mask[q] = sub_mask.get(q, 0) | 1 << index(t)
+    return sorted(sub_mask.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+
+def test_on_demand_queries_equal_the_eager_enumeration():
+    rng = random.Random(5)
+    for n in range(1, 11):
+        eager = eager_queries(n)
+        uni = _Universe(n)
+        assert uni.strings == [t.symbols for t in all_binary(n)]
+        everything = (1 << (1 << n)) - 1
+        assert [(q, qmask, cnt) for q, qmask, cnt in uni.walk(everything)] == [
+            (q, qmask, qmask.bit_count()) for q, qmask in eager
+        ]
+        # a smaller set skips exactly the queries none of its members holds
+        for _ in range(5):
+            m = rng.getrandbits(1 << n) & rng.getrandbits(1 << n)
+            assert list(_Universe(n).walk(m)) == [
+                (q, qmask, (qmask & m).bit_count()) for q, qmask in eager if qmask & m
+            ]
+
+
 # ------------------------------------------------------------------ splitters
 
 def split(n: int, members) -> tuple[bytes, int, bool]:
@@ -226,11 +272,17 @@ def test_splitter_contained_is_correct_and_fraction_holds():
         assert (q, count, flagged) == brute_force_splitter(members)
         assert members_of(n, qmask & m) == frozenset(t for t in members if q in t.symbols)
         msize = len(members)
-        if not flagged:
-            assert -(-msize // 5) <= count <= (4 * msize) // 5
-        else:
-            # the guarantee can only fail for tiny sets
-            assert msize <= 4
+        # every set of two or more members has a splitter within bounds
+        assert not flagged
+        assert -(-msize // 5) <= count <= (4 * msize) // 5
+
+
+def test_only_a_single_candidate_gets_a_flagged_splitter():
+    for n in range(1, 7):
+        for t in all_binary(n):
+            q, qmask, flagged = _select_splitter(n, mask_of([t]))
+            # the first of its substrings, shortest then lexicographic
+            assert flagged and q == bytes([min(t.symbols)]) and qmask >> index(t) & 1
 
 
 # ------------------------------------------------- universal reconstruction
@@ -293,6 +345,70 @@ def test_universal_tables_are_freed_with_their_compressor():
     assert gone() is None
     assert [len(t) for t in tables] == before
     assert run(compressor_from_reconstructor(reconstruct_rle, 2)) == first
+
+
+class _HashingOracle(Oracle):
+    """An oracle that also feeds (answer, length, query bytes) of every
+    substring query to a hash, so the hash pins the whole transcript."""
+
+    __slots__ = ("digest",)
+
+    def __init__(self, hidden: Text, digest):
+        super().__init__(hidden)
+        self.digest = digest
+
+    def contains_substring(self, q) -> bool:
+        answer = super().contains_substring(q)
+        self.digest.update(b"S%d %d:" % (answer, len(q)))
+        self.digest.update(q)
+        return answer
+
+
+PINNED_UNIVERSAL_TRANSCRIPT = "e768c399de6a2a1c1d95b5365f5306f5fc0fc2c11c4d4dc6a313a4caba92b55a"
+
+
+def test_universal_transcripts_match_pinned_digest():
+    # every binary string of length n <= 10 and n = 12 under each compressor:
+    # a change to the splitter order, the candidate sets or the budget
+    # schedule changes this digest
+    h = hashlib.sha256()
+    for comp in COMPRESSORS.values():
+        for n in [*range(1, 11), 12]:
+            for hidden in all_binary(n):
+                rep = reconstruct_universal(_HashingOracle(hidden, h), n, comp)
+                assert rep.recovered == hidden
+    assert h.hexdigest() == PINNED_UNIVERSAL_TRANSCRIPT
+
+
+def peak_rss_mb(n: int) -> float:
+    """Peak RSS of a fresh interpreter that reconstructs ten random
+    length-n strings under each compressor, each checked exact. The
+    child reads its own high-water mark (VmHWM, Linux): its ru_maxrss would
+    start at the RSS of the process that spawned it."""
+    script = textwrap.dedent(f"""
+        import random
+        from strrecon import Oracle, Text, reconstruct_universal
+        from strrecon.bench import COMPRESSORS
+        rng = random.Random(0)
+        for comp in COMPRESSORS.values():
+            for _ in range(10):
+                hidden = Text(bytes(rng.randint(1, 2) for _ in range({n})), 2)
+                rep = reconstruct_universal(Oracle(hidden), {n}, comp)
+                assert rep.recovered == hidden
+        with open("/proc/self/status") as fh:
+            print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+    """)
+    src = os.path.dirname(os.path.dirname(strrecon.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=600).stdout
+    return int(out) / 1024  # VmHWM is in kB
+
+
+def test_universal_memory_at_the_cap():
+    # building every query mask up front took 44-51 MB at n = 13 and, by
+    # extrapolation, about 1 GB at the cap
+    assert peak_rss_mb(DEFAULT_CAP) < 128
 
 
 def test_universal_validates_input():
