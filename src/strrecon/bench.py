@@ -1,17 +1,11 @@
 """Experiment runner: reconstruct generated strings, check the per-run query
 bounds, and emit CSV rows.
 
-Bounds asserted per algorithm (q = the relevant query counter, p = phrases
-the run emitted):
-
-- naive:         substring queries <= sigma * (n + 2)
-- rle:           substring queries <= 4 * rle * (sigma + log2(n / rle) + 2)
-- lz-prefix:     prefix queries    <= 8 * sigma * p * (log2 n + 2)
-- lz-substring:  substring queries <= 8 * sigma * p * (log2 n + 2)
-- universal-*:   substring queries <= 15 * |code| + 25
-
-Known information-theoretic reference floors (sigma*n/4 and
-sigma*z_no*log_sigma(n)) are printed as diagnostics only, never asserted.
+`TABLE` holds, per algorithm name, how to run it, the query counter its
+bound limits, the bound itself and, for the universal algorithms, which
+inputs it takes. Known information-theoretic reference floors
+(sigma*n/4 and sigma*z_no*log_sigma(n)) are printed as diagnostics only,
+never asserted.
 """
 from __future__ import annotations
 
@@ -20,6 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from itertools import product
+from typing import Callable, NamedTuple
 
 from .families import check_args, generate
 from .measures import MeasureReport, measure
@@ -67,44 +62,84 @@ class ExperimentRow:
     bound_ok: bool
 
 
+class Algorithm(NamedTuple):
+    """One row of TABLE: run(oracle, hidden) reconstructs hidden through
+    oracle; bound(report, measures) limits the report's QueryStats field
+    `counter`; check(name, n, sigma), if set, raises ValueError when the
+    algorithm cannot take a length-n string over sigma symbols."""
+
+    run: Callable[[Oracle, Text], ReconstructionReport]
+    counter: str
+    bound: Callable[[ReconstructionReport, MeasureReport], float]
+    check: Callable[[str, int, int], None] | None = None
+
+
 def _lz_bound(rep: ReconstructionReport, m: MeasureReport) -> float:
     return 8 * m.sigma * rep.phrases_emitted * (math.log2(m.n) + 2) if m.n > 0 else 0.0
 
 
-# algorithm name -> (the QueryStats counter it is charged on, its bound)
-_BOUNDS = {
-    "naive": ("substring_queries", lambda rep, m: m.sigma * (m.n + 2)),
-    "rle": ("substring_queries",
-            lambda rep, m: 4 * m.rle * (m.sigma + max(0.0, math.log2(m.n / m.rle)) + 2)),
-    "lz-prefix": ("prefix_queries", _lz_bound),
-    "lz-substring": ("substring_queries", _lz_bound),
-    **{f"universal-{name}": ("substring_queries",
-                             lambda rep, m: 15 * rep.extras["code_length"] + 25)
-       for name in COMPRESSORS},
-}
+def _query_row(name: str, counter: str, bound) -> tuple[str, Algorithm]:
+    algo = ALGORITHMS[name]
+    return name, Algorithm(lambda o, hidden: algo(o, hidden.sigma), counter, bound)
+
+
+def _universal_input(name: str, n: int, sigma: int) -> None:
+    if n > DEFAULT_CAP:
+        raise ValueError(f"{name} needs n <= {DEFAULT_CAP}, got n={n}")
+    if sigma > 2:
+        raise ValueError("universal reconstruction handles binary strings only")
+
+
+def _universal_row(name: str, comp) -> tuple[str, Algorithm]:
+    return f"universal-{name}", Algorithm(
+        lambda o, hidden: reconstruct_universal(o, len(hidden), comp),
+        "substring_queries",
+        lambda rep, m: 15 * rep.extras["code_length"] + 25,
+        _universal_input,
+    )
+
+
+TABLE: dict[str, Algorithm] = dict((
+    _query_row("naive", "substring_queries", lambda rep, m: m.sigma * (m.n + 2)),
+    _query_row("rle", "substring_queries",
+               lambda rep, m: 4 * m.rle * (m.sigma + max(0.0, math.log2(m.n / m.rle)) + 2)),
+    _query_row("lz-prefix", "prefix_queries", _lz_bound),
+    _query_row("lz-substring", "substring_queries", _lz_bound),
+    *(_universal_row(name, comp) for name, comp in COMPRESSORS.items()),
+))
+
+
+def _row(algo: str) -> Algorithm:
+    spec = TABLE.get(algo)
+    if spec is None:
+        raise ValueError(f"unknown algo {algo!r}")
+    return spec
+
+
+def check_input(algo: str, n: int, sigma: int) -> Algorithm:
+    """The TABLE row of algo; raises ValueError when algo is unknown or
+    cannot take a length-n string over sigma symbols."""
+    spec = _row(algo)
+    if spec.check is not None:
+        spec.check(algo, n, sigma)
+    return spec
 
 
 def bound_holds(algo: str, rep: ReconstructionReport, m: MeasureReport) -> bool:
-    if algo not in _BOUNDS:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    counter, bound = _BOUNDS[algo]
-    return getattr(rep.stats, counter) <= bound(rep, m)
+    spec = _row(algo)
+    return getattr(rep.stats, spec.counter) <= spec.bound(rep, m)
 
 
 def run_one(algo: str, hidden: Text, family: str = "-",
             report: MeasureReport | None = None) -> ExperimentRow:
-    """One experiment on a fresh oracle; raises if reconstruction is inexact."""
-    if algo not in _BOUNDS:
-        raise ValueError(f"unknown algorithm {algo!r}")
+    """One experiment on a fresh oracle; raises ValueError if algo cannot
+    take hidden, and AssertionError if reconstruction is inexact."""
+    spec = check_input(algo, len(hidden), hidden.sigma)
     if report is None:
         report = measure(hidden)
     oracle = Oracle(hidden)
     start = time.perf_counter()
-    if algo in ALGORITHMS:
-        rep = ALGORITHMS[algo](oracle, hidden.sigma)
-    else:
-        comp = COMPRESSORS[algo.removeprefix("universal-")]
-        rep = reconstruct_universal(oracle, len(hidden), comp)
+    rep = spec.run(oracle, hidden)
     ms = round((time.perf_counter() - start) * 1000)
     exact = rep.recovered.symbols == hidden.symbols
     if not exact:
@@ -145,9 +180,10 @@ def parse_sweep(textio) -> list[dict]:
     a cartesian product. '#' starts a comment.
 
     Keys: algo, family, n, sigma (default 2), seed (default 0),
-    repeat (default 1, distinct seeds). Unknown algorithms, groups that
-    `generate` would reject (families.check_args) and universal groups longer
-    than the enumeration cap are rejected before anything runs.
+    repeat (default 1, distinct seeds). Groups that `generate` would reject
+    (families.check_args) or that name an algorithm unknown to TABLE, or one
+    that cannot take the group's strings (check_input), are rejected before
+    anything runs.
     """
     groups: list[dict] = []
     for lineno, raw in enumerate(textio, 1):
@@ -165,32 +201,19 @@ def parse_sweep(textio) -> list[dict]:
         for missing in ("algo", "family", "n"):
             if missing not in opts:
                 raise ValueError(f"sweep line {lineno}: missing {missing}=")
-        for algo in opts["algo"]:
-            if algo not in _BOUNDS:
-                raise ValueError(f"sweep line {lineno}: unknown algo {algo!r}")
-            if algo.startswith("universal-") and max(map(int, opts["n"])) > DEFAULT_CAP:
-                raise ValueError(f"sweep line {lineno}: {algo} needs n <= {DEFAULT_CAP}")
         opts.setdefault("sigma", ["2"])
-        for family, n, sigma in product(opts["family"], opts["n"], opts["sigma"]):
-            try:
-                check_args(family, int(n), int(sigma))
-            except ValueError as e:
-                raise ValueError(f"sweep line {lineno}: {e}") from None
         opts.setdefault("seed", ["0"])
         repeat = int(opts.pop("repeat", ["1"])[0])
-        for algo in opts["algo"]:
-            for family in opts["family"]:
-                for n in opts["n"]:
-                    for sigma in opts["sigma"]:
-                        for seed in opts["seed"]:
-                            for extra in range(repeat):
-                                groups.append({
-                                    "algo": algo,
-                                    "family": family,
-                                    "n": int(n),
-                                    "sigma": int(sigma),
-                                    "seed": int(seed) + extra,
-                                })
+        for algo, family, n, sigma, seed in product(
+                opts["algo"], opts["family"], opts["n"], opts["sigma"], opts["seed"]):
+            try:
+                n, sigma = int(n), int(sigma)
+                check_input(algo, n, sigma)
+                check_args(family, n, sigma)
+            except ValueError as e:
+                raise ValueError(f"sweep line {lineno}: {e}") from None
+            groups.extend({"algo": algo, "family": family, "n": n, "sigma": sigma,
+                           "seed": int(seed) + extra} for extra in range(repeat))
     return groups
 
 

@@ -18,7 +18,6 @@ from . import bench
 from .families import generate
 from .measures import grammar_size_bound, measure
 from .text import Text, from_raw_bytes
-from .universal import DEFAULT_CAP
 
 
 def _load_text(args) -> tuple[Text, str]:
@@ -68,27 +67,17 @@ def _emit(rows) -> int:
     return 1 if bad else 0
 
 
-def _cmd_reconstruct(args) -> int:
-    hidden, family = _load_text(args)
-    row = bench.run_one(args.algo, hidden, family=family)
-    return _emit([row])
-
-
-def _check_cap(args, n: int) -> None:
-    if n > DEFAULT_CAP:
-        raise SystemExit(f"universal-{args.compressor} needs n <= {DEFAULT_CAP}, got n={n}")
-
-
-def _cmd_universal(args) -> int:
-    if not args.file:
-        _check_cap(args, args.n)  # before generating anything
-    hidden, family = _load_text(args)
-    _check_cap(args, len(hidden))
-    if hidden.sigma > 2 or any(s > 2 for s in hidden.symbols):
-        raise SystemExit("universal reconstruction handles binary strings only")
-    hidden = Text(hidden.symbols, 2)
-    row = bench.run_one(f"universal-{args.compressor}", hidden, family=family)
-    return _emit([row])
+def _cmd_run(args) -> int:
+    """reconstruct and universal: one run of one algorithm, one CSV row."""
+    algo = args.algo if args.command == "reconstruct" else f"universal-{args.compressor}"
+    try:
+        if not args.file:
+            bench.check_input(algo, args.n, args.sigma)  # before generating anything
+        hidden, family = _load_text(args)
+        bench.check_input(algo, len(hidden), hidden.sigma)
+    except ValueError as e:
+        raise SystemExit(str(e)) from None
+    return _emit([bench.run_one(algo, hidden, family=family)])
 
 
 def _cmd_bench(args) -> int:
@@ -112,12 +101,12 @@ def main(argv=None) -> int:
     p = subs.add_parser("reconstruct", help="run one reconstruction algorithm")
     p.add_argument("--algo", required=True, choices=sorted(bench.ALGORITHMS))
     _add_input_options(p)
-    p.set_defaults(func=_cmd_reconstruct)
+    p.set_defaults(func=_cmd_run)
 
     p = subs.add_parser("universal", help="candidate-set reconstruction (binary)")
     p.add_argument("--compressor", required=True, choices=sorted(bench.COMPRESSORS))
     _add_input_options(p)
-    p.set_defaults(func=_cmd_universal)
+    p.set_defaults(func=_cmd_run)
 
     p = subs.add_parser("bench", help="run a sweep file")
     p.add_argument("--sweep", required=True, help="line-oriented key=value sweep file")

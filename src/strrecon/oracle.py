@@ -19,8 +19,9 @@ keeps the match state of ``known`` and answers in time linear in ``t``:
 - prefix (``known + t``): one slice compare at ``len(known)``.
 
 Any other object (a wrapper, or a subclass that overrides the query methods)
-gets a cursor that builds each full query and passes it to
-``contains_substring`` or ``is_prefix``, so it sees every query's bytes.
+gets the one full-query cursor, which builds each full query as new
+``bytes`` and passes it to ``contains_substring`` or ``is_prefix``: the
+object sees every query and may keep it, say as a dict key.
 """
 from __future__ import annotations
 
@@ -219,51 +220,30 @@ class _Prefix:
         return bytes(self._known)
 
 
-class _FullForward:
-    """Full-query cursor for known + t (`query` is contains_substring or
-    is_prefix); the growing buffer is reused, so building a probe costs
-    O(|t|)."""
+class _Full:
+    """Full-query cursor: each probe builds the whole query, known + t, or
+    reverse(t) + known on the left side (t in the reversed orientation of the
+    native left cursor), as new bytes and asks it through `query`
+    (contains_substring or is_prefix), so the callee may keep it."""
 
-    __slots__ = ("_query", "buf", "base")
+    __slots__ = ("_query", "_left", "_known")
 
-    def __init__(self, query, known: bytes):
+    def __init__(self, query, left: bool, known: bytes):
         self._query = query
-        self.buf = bytearray(known)
-        self.base = len(self.buf)
+        self._left = left
+        self._known = bytes(known)
+
+    def _join(self, t) -> bytes:
+        return bytes(t[::-1]) + self._known if self._left else self._known + t
 
     def probe(self, t) -> bool:
-        buf = self.buf
-        del buf[self.base:]
-        buf += t
-        return self._query(buf)
+        return self._query(self._join(t))
 
     def advance(self, t) -> None:
-        del self.buf[self.base:]
-        self.buf += t
-        self.base = len(self.buf)
+        self._known = self._join(t)
 
     def result(self) -> bytes:
-        return bytes(self.buf[: self.base])
-
-
-class _FullBackward:
-    """Full-query cursor for reverse(t) + known by substring queries, t in
-    reversed orientation as for the native left cursor."""
-
-    __slots__ = ("_query", "known")
-
-    def __init__(self, query, known: bytes):
-        self._query = query
-        self.known = bytes(known)
-
-    def probe(self, t) -> bool:
-        return self._query(t[::-1] + self.known)
-
-    def advance(self, t) -> None:
-        self.known = t[::-1] + self.known
-
-    def result(self) -> bytes:
-        return self.known
+        return self._known
 
 
 _NATIVE = {"right": _Right, "left": _Left, "prefix": _Prefix}
@@ -275,13 +255,11 @@ def cursor(o, side: str, known: bytes = b""):
     "prefix" (prefix queries known + t).
 
     Only an object whose class is exactly Oracle gets a native cursor; any
-    other object is asked each full query through its contains_substring or
-    is_prefix, with the same bytes, answers and counts.
+    other object is asked each full query, as new bytes, through its
+    contains_substring or is_prefix, with the same answers and counts.
     """
     if side not in _NATIVE:
         raise ValueError(f"unknown cursor side {side!r}; expected one of {', '.join(_NATIVE)}")
     if type(o) is Oracle:
         return _NATIVE[side](o, known)
-    if side == "left":
-        return _FullBackward(o.contains_substring, known)
-    return _FullForward(o.is_prefix if side == "prefix" else o.contains_substring, known)
+    return _Full(o.is_prefix if side == "prefix" else o.contains_substring, side == "left", known)

@@ -13,9 +13,10 @@ Four strategies, all exact:
 Each strategy is a grow loop over an extension model, which is an oracle
 cursor (`oracle.cursor`): a "right" or "prefix" cursor appends to the known
 string, a "left" cursor prepends to it (substring queries, in reversed
-orientation). No other code here builds queries or calls the oracle. naive,
-rle and lz-substring share one driver, `_both_ways`: forward until stuck,
-then backward.
+orientation). No other code here builds queries or calls the oracle. One
+driver, `_drive`, runs every strategy as one phase per cursor side: "right"
+until stuck, then "left", for naive, rle and lz-substring; "prefix" alone
+for lz-prefix.
 
 Forward-stuck soundness: if R occurs in the hidden string S and no
 single-symbol right extension of R occurs, then every occurrence of R is a
@@ -242,26 +243,29 @@ def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
             snap_len = len(st.text)
 
 
-def _both_ways(o, sigma: int, grow, algorithm: str, unit: str, **extras) -> ReconstructionReport:
-    """Grow forward by substring queries until the known string is provably a
-    suffix, then backward from it until it is also a prefix.
+def _drive(o, sigma: int, sides: tuple[str, ...], grow, algorithm: str, unit: str,
+           **extras) -> ReconstructionReport:
+    """Run one grow phase per cursor side in `sides`, each side's cursor
+    starting from the string the previous phase left.
 
     grow(sigma, model, seed) -> steps extends the model until nothing
     extends it; `seed` is the model's known string in model orientation.
     """
     _check_sigma(o, sigma)
-    fwd = cursor(o, "right")
-    pf = grow(sigma, fwd, b"")
-    suffix = fwd.result()
-    del fwd  # frees its automaton before the backward phase
-    bwd = cursor(o, "left", suffix)
-    pb = grow(sigma, bwd, suffix[::-1])
+    known = b""
+    phases = []
+    for side in sides:
+        model = cursor(o, side, known)
+        steps = grow(sigma, model, known[::-1] if side == "left" else known)
+        phases.append(Phase("backward" if side == "left" else "forward", steps, unit))
+        known = model.result()
+        del model  # frees a right cursor's automaton before the next phase
     return ReconstructionReport(
-        recovered=Text(bwd.result(), sigma),
+        recovered=Text(known, sigma),
         stats=o.stats(),
-        phases=[Phase("forward", pf, unit), Phase("backward", pb, unit)],
+        phases=phases,
         algorithm=algorithm,
-        phrases_emitted=pf + pb if unit == "phrases" else 0,
+        phrases_emitted=sum(p.units for p in phases) if unit == "phrases" else 0,
         extras=extras,
     )
 
@@ -270,31 +274,22 @@ def reconstruct_naive(o, sigma: int) -> ReconstructionReport:
     """Symbol-by-symbol reconstruction: at most sigma*(n+2) substring queries
     (each recovered symbol costs <= sigma probes, plus one full round of
     failures per direction)."""
-    return _both_ways(o, sigma, _grow_symbols, "naive", "characters")
+    return _drive(o, sigma, ("right", "left"), _grow_symbols, "naive", "characters")
 
 
 def reconstruct_rle(o, sigma: int) -> ReconstructionReport:
     """Run-by-run reconstruction: each maximal run costs <= sigma symbol
     probes plus an exponential search on the run length."""
-    return _both_ways(o, sigma, _grow_runs, "rle", "runs")
+    return _drive(o, sigma, ("right", "left"), _grow_runs, "rle", "runs")
 
 
 def reconstruct_lz_prefix(o, sigma: int) -> ReconstructionReport:
     """Phrase-at-a-time reconstruction against a prefix oracle. When neither
     a phrase nor any fresh symbol extends the known prefix, it is the whole
     string."""
-    _check_sigma(o, sigma)
     records: list = []
-    model = cursor(o, "prefix")
-    phrases = _lz_grow(sigma, model, b"", records)
-    return ReconstructionReport(
-        recovered=Text(model.result(), sigma),
-        stats=o.stats(),
-        phases=[Phase("forward", phrases, "phrases")],
-        algorithm="lz-prefix",
-        phrases_emitted=phrases,
-        extras={"decompositions": records},
-    )
+    grow = partial(_lz_grow, records=records)
+    return _drive(o, sigma, ("prefix",), grow, "lz-prefix", "phrases", decompositions=records)
 
 
 def reconstruct_lz_substring(o, sigma: int) -> ReconstructionReport:
@@ -303,4 +298,5 @@ def reconstruct_lz_substring(o, sigma: int) -> ReconstructionReport:
     on the reversed string until it is also a prefix."""
     records: list = []
     grow = partial(_lz_grow, records=records)
-    return _both_ways(o, sigma, grow, "lz-substring", "phrases", decompositions=records)
+    return _drive(o, sigma, ("right", "left"), grow, "lz-substring", "phrases",
+                  decompositions=records)

@@ -177,10 +177,10 @@ class _Universe:
 
 _universe_cache: dict[int, _Universe] = {}
 # Per-compressor tables, keyed by the compressor object (not its name: two
-# compressors may share one) and freed with it: code lengths and their
-# maximum by n, candidate masks by (n, k).
-_code_len_cache: WeakKeyDictionary[Compressor, dict[int, tuple[list[int], int]]] = WeakKeyDictionary()
-_candidate_mask_cache: WeakKeyDictionary[Compressor, dict[tuple[int, int], int]] = WeakKeyDictionary()
+# compressors may share one) and freed with it: by n, the code lengths of
+# the 2^n strings, their maximum and the candidate masks by k.
+_CodeTable = tuple[list[int], int, dict[int, int]]
+_code_tables: WeakKeyDictionary[Compressor, dict[int, _CodeTable]] = WeakKeyDictionary()
 
 
 def _universe(n: int) -> _Universe:
@@ -190,13 +190,14 @@ def _universe(n: int) -> _Universe:
     return u
 
 
-def _code_lengths(c: Compressor, n: int) -> tuple[list[int], int]:
-    """The code length of every length-n string under c, and the largest."""
-    table = _code_len_cache.setdefault(c, {})
+def _code_table(c: Compressor, n: int) -> _CodeTable:
+    """The code length of every length-n string under c, the largest, and
+    the candidate masks built so far, by k."""
+    table = _code_tables.setdefault(c, {})
     entry = table.get(n)
     if entry is None:
         lens = [len(c.compress(Text(s, 2))) for s in _universe(n).strings]
-        entry = table[n] = (lens, max(lens))
+        entry = table[n] = (lens, max(lens), {})
     return entry
 
 
@@ -204,11 +205,11 @@ def _candidate_mask(c: Compressor, n: int, k: int) -> int:
     """Bitmask over the 2^n strings of M_k, the ones whose codes fit in k
     bits; raises ValueError when M_k outnumbers the 2^(k+1) - 2 nonempty
     codes of at most k bits, since then c cannot be injective."""
-    table = _candidate_mask_cache.setdefault(c, {})
-    mask = table.get((n, k))
+    lens, _, masks = _code_table(c, n)
+    mask = masks.get(k)
     if mask is None:
         mask = 0
-        for i, l in enumerate(_code_lengths(c, n)[0]):
+        for i, l in enumerate(lens):
             if l <= k:
                 mask |= 1 << i
         if mask.bit_count() > 2 ** (k + 1) - 2:
@@ -216,7 +217,7 @@ def _candidate_mask(c: Compressor, n: int, k: int) -> int:
                 f"{mask.bit_count()} length-{n} strings have codes of at most {k} "
                 f"bits under {c.name!r}; the compressor cannot be injective"
             )
-        table[n, k] = mask
+        masks[k] = mask
     return mask
 
 
@@ -251,20 +252,19 @@ def _select_splitter(n: int, m_mask: int) -> tuple[bytes, int, bool]:
     return best
 
 
-def reconstruct_universal(o, n: int, c: Compressor, cap: int = DEFAULT_CAP) -> ReconstructionReport:
-    """Reconstruct a binary hidden string of known length n by halving
-    candidate sets under an exponentially growing code budget. Every answer
-    is verified with a full-length query (an equality test) before being
-    returned."""
+def reconstruct_universal(o, n: int, c: Compressor) -> ReconstructionReport:
+    """Reconstruct a binary hidden string of known length n <= DEFAULT_CAP by
+    halving candidate sets under an exponentially growing code budget. Every
+    answer is verified with a full-length query (an equality test) before
+    being returned."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
+    if n > DEFAULT_CAP:
         raise ValueError(
-            f"n={n} exceeds the enumeration cap {cap}; this walks all 2^n "
-            f"strings, so raise cap= only if that cost is acceptable"
+            f"n={n} exceeds the enumeration cap {DEFAULT_CAP}; this walks all 2^n strings"
         )
     uni = _universe(n)
-    code_len, max_k = _code_lengths(c, n)
+    code_len, max_k, _ = _code_table(c, n)
     contains = o.contains_substring
     split_log: list[tuple[int, int, bool]] = []
     rounds = 0

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from strrecon import Text, generate, measure, parse_csv, parse_sweep, to_letters
-from strrecon.bench import _BOUNDS, emit_csv, run_experiments, run_one
+from strrecon.bench import TABLE, emit_csv, run_experiments, run_one
 from strrecon.cli import main
 from strrecon.families import FAMILIES
 
@@ -113,11 +113,13 @@ def test_parse_sweep_errors():
     "bad, message",
     [("algo=naive,nope family=random n=10", "line 2: unknown algo 'nope'"),
      ("algo=universal-identity family=random n=8,17", "line 2: universal-identity needs n <= 16"),
+     ("algo=universal-identity family=random n=8 sigma=3",
+      "line 2: universal reconstruction handles binary strings only"),
      ("algo=naive family=random,nope n=10", "line 2: unknown family 'nope'"),
      ("algo=naive family=fibonacci n=10 sigma=3", "line 2: fibonacci strings are binary"),
      ("algo=naive family=random,thue-morse n=10 sigma=2,4", "line 2: thue-morse strings are binary"),
      ("algo=naive family=random n=10,0", "line 2: n must be >= 1")],
-    ids=["unknown-algo", "universal-over-cap", "unknown-family",
+    ids=["unknown-algo", "universal-over-cap", "universal-nonbinary", "unknown-family",
          "fibonacci-sigma", "thue-morse-sigma", "n-zero"],
 )
 def test_parse_sweep_rejects_a_bad_group_before_running(bad, message):
@@ -139,7 +141,7 @@ def test_readme_algorithm_table_matches_the_bounds():
     table = readme.split("## Algorithms", 1)[1].split("\n\n", 2)[1]
     names = {name for row in table.splitlines()[2:]
              for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
-    assert names == set(_BOUNDS)
+    assert names == set(TABLE)
 
 
 def test_run_experiments_all_algorithms():

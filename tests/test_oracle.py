@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from strrecon import (
     Oracle,
     Text,
+    from_letters,
     generate,
     reconstruct_lz_prefix,
     reconstruct_lz_substring,
@@ -208,6 +209,42 @@ def test_native_cursors_charge_what_full_queries_charge(algo):
         assert native.recovered == full.recovered == hidden
         assert native.stats == full.stats  # all four QueryStats fields
         assert native.phases == full.phases
+
+
+class _Logging(_PassThrough):
+    """Logs each query object as given, or a copy of it, with its answer,
+    and also keeps the answers by query."""
+
+    def __init__(self, o: Oracle, copy: bool):
+        super().__init__(o)
+        self.copy = copy
+        self.log = []
+        self.answers = {}
+
+    def _keep(self, q, a: bool) -> bool:
+        q = bytes(q) if self.copy else q
+        self.log.append((q, a))
+        self.answers[q] = a
+        return a
+
+    def contains_substring(self, q) -> bool:
+        return self._keep(q, super().contains_substring(q))
+
+    def is_prefix(self, q) -> bool:
+        return self._keep(q, super().is_prefix(q))
+
+
+@pytest.mark.parametrize("algo", ALGOS, ids=ALGO_NAMES)
+def test_full_query_cursors_hand_out_queries_a_wrapper_can_keep(algo):
+    # naive, rle and lz-substring ask through right and left cursors,
+    # lz-prefix through a prefix cursor; a wrapper that keeps each query
+    # object uncopied must see what a copying one sees
+    hidden = from_letters("abracadabra")
+    kept, copied = _Logging(Oracle(hidden), False), _Logging(Oracle(hidden), True)
+    sigma = hidden.sigma
+    assert algo(kept, sigma).recovered == algo(copied, sigma).recovered == hidden
+    assert kept.log == copied.log
+    assert kept.answers == copied.answers
 
 
 @pytest.mark.parametrize("algo", ALGOS, ids=ALGO_NAMES)

@@ -330,20 +330,20 @@ def test_universal_tables_are_freed_with_their_compressor():
     hidden = from_bits("0010110001")
 
     def run(comp):
-        rep = reconstruct_universal(Oracle(hidden), len(hidden), comp, cap=10)
+        rep = reconstruct_universal(Oracle(hidden), len(hidden), comp)
         return rep.recovered, rep.stats, rep.extras
 
     gc.collect()
-    tables = (universal._code_len_cache, universal._candidate_mask_cache)
-    before = [len(t) for t in tables]
+    tables = universal._code_tables
+    before = len(tables)
     codec = compressor_from_reconstructor(reconstruct_rle, 2)
     first = run(codec)
-    assert all(codec in t for t in tables)
+    assert codec in tables
     gone = weakref.ref(codec)
     del codec
     gc.collect()
     assert gone() is None
-    assert [len(t) for t in tables] == before
+    assert len(tables) == before
     assert run(compressor_from_reconstructor(reconstruct_rle, 2)) == first
 
 
@@ -519,6 +519,6 @@ def test_codec_drives_universal_reconstruction():
     for bits in ("0000000000", "0101010101", "0010110001"):
         hidden = from_bits(bits)
         o = Oracle(hidden)
-        rep = reconstruct_universal(o, len(bits), codec, cap=10)
+        rep = reconstruct_universal(o, len(bits), codec)
         assert rep.recovered == hidden
         assert o.stats().substring_queries <= 15 * len(codec.compress(hidden)) + 25
