@@ -54,11 +54,20 @@ class MeasureReport:
     z_no: int
 
 
-def rle_runs(s: Text | bytes) -> int:
-    """Number of maximal equal-symbol runs."""
-    syms = s.symbols if isinstance(s, Text) else s
+def _symbols(s: Text | bytes) -> bytes:
+    """The symbols of s; raises ValueError if s is empty or, given as raw
+    bytes, holds the reserved symbol 0 (a Text already excludes it)."""
+    syms = s.symbols if isinstance(s, Text) else bytes(s)
     if not syms:
         raise ValueError("empty input")
+    if 0 in syms:
+        raise ValueError("symbol 0 is reserved; symbols must lie in [1..255]")
+    return syms
+
+
+def rle_runs(s: Text | bytes) -> int:
+    """Number of maximal equal-symbol runs."""
+    syms = _symbols(s)
     runs = 1
     prev = syms[0]
     for c in syms:
@@ -70,9 +79,7 @@ def rle_runs(s: Text | bytes) -> int:
 
 def lz77(s: Text | bytes, allow_overlap: bool = True) -> LZFactorization:
     """Greedy left-to-right LZ77 parse."""
-    syms = s.symbols if isinstance(s, Text) else bytes(s)
-    if not syms:
-        raise ValueError("empty input")
+    syms = _symbols(s)
     return _parse(syms, SuffixAutomaton(syms), allow_overlap)
 
 
@@ -88,8 +95,8 @@ def _parse(syms: bytes, sam: SuffixAutomaton, allow_overlap: bool) -> LZFactoriz
         l = 0
         j = i
         while j < n:
-            cand = nxt[state].get(syms[j])
-            if cand is None:
+            cand = nxt[state][syms[j]]
+            if not cand:
                 break
             if allow_overlap:
                 # some occurrence of syms[i:j+1] must start before i
@@ -124,10 +131,8 @@ def measure(s: Text | bytes) -> MeasureReport:
     next phrase starts at offset >= 2t). By Jensen's inequality this gives
     z_no <= rle*(2 + log2(n/rle)).
     """
-    syms = s.symbols if isinstance(s, Text) else bytes(s)
-    if not syms:
-        raise ValueError("empty input")
-    sigma = s.sigma if isinstance(s, Text) else (max(syms) if syms else 1)
+    syms = _symbols(s)
+    sigma = s.sigma if isinstance(s, Text) else max(syms)
     rle = rle_runs(syms)
     sam = SuffixAutomaton(syms)
     z = len(_parse(syms, sam, allow_overlap=True))

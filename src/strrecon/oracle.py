@@ -12,8 +12,10 @@ holds ``known``: ``probe(t)`` is one counted query and charges
 ``known``. A cursor of an object whose class is exactly :class:`Oracle`
 keeps the match state of ``known`` and answers in time linear in ``t``:
 
-- right (substring ``known + t``): the state of ``known`` in a suffix
-  automaton of the hidden string, built on the first probe;
+- right (substring ``known + t``): the state of ``known`` in the suffix
+  automaton of the hidden string (:mod:`strrecon.automaton`), built on the
+  first probe; its per-state transition rows are walked as built, not
+  copied;
 - left (substring ``reverse(t) + known``): the start positions of
   ``known``, one slice compare each;
 - prefix (``known + t``): one slice compare at ``len(known)``.
@@ -103,40 +105,30 @@ class Oracle:
 
 
 class _Right:
-    """Substring queries known + t: t is walked from the state of known in a
-    suffix automaton of the hidden string (Blumer et al. 1985), whose
-    transitions are flattened as nxt[s * sigma + c - 1] (0: no transition;
-    the root is never a target). State -1 means known does not occur."""
+    """Substring queries known + t: t is walked from the state of known in the
+    suffix automaton of the hidden string (Blumer et al. 1985), reading its
+    transition rows as they are: nxt[s][c], 0 for no transition (the root is
+    never a target), and no transition for a symbol at or past the row width.
+    State -1 means known does not occur."""
 
     __slots__ = ("_o", "_known", "_nxt", "_state")
 
     def __init__(self, o: Oracle, known: bytes):
         self._o = o
         self._known = bytearray(known)
-        self._nxt: array | None = None  # built on the first probe
+        self._nxt: list[array] | None = None  # built on the first probe
         self._state = 0
-
-    def _build(self) -> None:
-        sigma = self._o.sigma
-        rows = SuffixAutomaton(self._o._hidden).next
-        nxt = array("i", [0]) * (len(rows) * sigma)
-        for s, row in enumerate(rows):
-            base = s * sigma - 1
-            for c, target in row.items():
-                nxt[base + c] = target
-        self._nxt = nxt
-        self._state = self._walk(0, self._known)
 
     def _walk(self, s: int, t) -> int:
         """The state reached from s by reading t, or -1."""
         if s < 0:
             return s
         nxt = self._nxt
-        sigma = self._o.sigma
+        width = len(nxt[0])
         for c in t:
-            if not 0 < c <= sigma:  # no such symbol; flat indexing would wrap
+            if c >= width:
                 return -1
-            s = nxt[s * sigma + c - 1]
+            s = nxt[s][c]
             if not s:
                 return -1
         return s
@@ -144,7 +136,8 @@ class _Right:
     def probe(self, t) -> bool:
         self._o._count("substring", len(self._known) + len(t))
         if self._nxt is None:
-            self._build()
+            self._nxt = SuffixAutomaton(self._o._hidden).next
+            self._state = self._walk(0, self._known)
         return self._walk(self._state, t) >= 0
 
     def advance(self, t) -> None:

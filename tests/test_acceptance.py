@@ -12,6 +12,8 @@ exhaustive run, then frozen):
 - lz (both):     queries           <= 8 * sigma * p * (log2 n + 2), with p
                  the number of phrases the run itself emitted
 - universal:     substring_queries <= 15 * |code| + 25
+- lz phrases:    p <= 2 * z_no, so that the lz bound above is in
+                 O(sigma * z_no * log n), and z_no <= g (Rytter 2003)
 """
 from __future__ import annotations
 
@@ -147,7 +149,7 @@ def test_criterion_02_exactness_at_scale(capfd):
 def test_criterion_03_naive_bound(capfd):
     recs, _ = _at_scale()
     runs = [r for r in recs if r.algo == "naive"]
-    bad = [r for r in runs if r.rep.stats.substring_queries > r.m.sigma * (r.m.n + 2)]
+    bad = [r for r in runs if not bound_holds("naive", r.rep, r.m)]
     _report(capfd, 3, not bad,
             f"substring_queries <= sigma*(n+2) on {len(runs)}/{len(runs)} "
             f"naive runs ({len(bad)} violations)")
@@ -307,3 +309,20 @@ def test_criterion_10_golden_values(capfd):
             f"{len(chain_bad)}/{len(seen)} strings, per-run bound tight on "
             f"{tight}"
             + (f", e.g. (n,z,z_no,rle,bound)={example}" if example else ""))
+
+
+def test_criterion_11_lz_phrases_within_twice_z_no(capfd):
+    worst: dict[str, float] = {}
+    runs = bad = 0
+    for recs, _ in (_small_scale(), _at_scale()):
+        for r in recs:
+            if not r.algo.startswith("lz-"):
+                continue
+            runs += 1
+            p, z_no = r.rep.phrases_emitted, r.m.z_no
+            bad += p > 2 * z_no
+            worst[r.algo] = max(worst.get(r.algo, 0.0), p / z_no)
+    _report(capfd, 11, bad == 0 and runs > 0,
+            f"phrases <= 2*z_no on {runs - bad}/{runs} lz runs of criteria 1-2; "
+            f"max p/z_no "
+            + ", ".join(f"{algo} {ratio:.2f}" for algo, ratio in sorted(worst.items())))

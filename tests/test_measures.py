@@ -60,6 +60,15 @@ def test_rle_runs_counts_maximal_runs():
         rle_runs(b"")
 
 
+@pytest.mark.parametrize("fn", [measure, lz77, rle_runs])
+def test_raw_bytes_with_the_reserved_symbol_are_rejected(fn):
+    # without the check, measure(b"\x00\x01\x00") read sigma 1 for a string
+    # of two distinct symbols
+    for data in (b"\x00\x01\x00", b"\x00", bytearray(b"\x02\x00")):
+        with pytest.raises(ValueError, match="reserved"):
+            fn(data)
+
+
 @given(small, st.booleans())
 @settings(max_examples=300)
 def test_phrase_count_matches_brute_force(s, overlap):
