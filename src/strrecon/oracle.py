@@ -8,22 +8,31 @@ Reconstructors ask only about ``known + t`` or ``t + known``, where ``known``
 is already verified, so they ask through cursors (:func:`cursor`). A cursor
 holds ``known``: ``probe(t)`` is one counted query and charges
 ``len(known) + len(t)`` symbols, exactly as the full query would;
-``advance(t)`` extends ``known`` and asks nothing; ``result()`` returns
-``known``. A cursor of an object whose class is exactly :class:`Oracle`
-keeps the match state of ``known`` and answers in time linear in ``t``:
+``first(symbols)`` asks the one-symbol probes of the symbol values in
+``symbols``, in order, and returns the index of the first that is true, or
+-1: it charges one query of ``len(known) + 1`` symbols per symbol tried
+(index + 1 on a hit, ``len(symbols)`` on a miss), exactly what those
+probes charge one by one; ``advance(t)`` extends ``known`` and asks
+nothing; ``result()`` returns ``known``. A cursor of an object whose class
+is exactly :class:`Oracle` keeps the match state of ``known`` and answers
+a probe in time linear in ``t`` and ``first`` in time linear in
+``symbols``:
 
 - right (substring ``known + t``): the state of ``known`` in the suffix
   automaton of the hidden string (:mod:`strrecon.automaton`), built on the
   first probe; its per-state transition rows are walked as built, not
-  copied;
+  copied, and ``first`` reads one row slot per symbol;
 - left (substring ``reverse(t) + known``): the start positions of
-  ``known``, one slice compare each;
-- prefix (``known + t``): one slice compare at ``len(known)``.
+  ``known``, one slice compare each; ``first`` looks up each symbol among
+  the symbols just before them;
+- prefix (``known + t``): one slice compare at ``len(known)``; ``first``
+  compares each symbol with the one symbol there.
 
 Any other object (a wrapper, or a subclass that overrides the query methods)
 gets the one full-query cursor, which builds each full query as new
-``bytes`` and passes it to ``contains_substring`` or ``is_prefix``: the
-object sees every query and may keep it, say as a dict key.
+``bytes`` and passes it to ``contains_substring`` or ``is_prefix``, one at
+a time and in order, ``first`` included: the object sees every query and
+may keep it, say as a dict key.
 """
 from __future__ import annotations
 
@@ -75,15 +84,16 @@ class Oracle:
     def __len__(self) -> int:
         return len(self._hidden)
 
-    def _count(self, kind: str, length: int) -> None:
-        """Charge one query of `kind` ("substring" or "prefix") and `length`."""
+    def _count(self, kind: str, length: int, times: int = 1) -> None:
+        """Charge `times` queries of `kind` ("substring" or "prefix"), each
+        of `length` symbols; times=0 charges nothing."""
         st = self._stats
         if kind == "prefix":
-            st.prefix_queries += 1
+            st.prefix_queries += times
         else:
-            st.substring_queries += 1
-        st.total_queried_symbols += length
-        if length > st.max_query_length:
+            st.substring_queries += times
+        st.total_queried_symbols += length * times
+        if times and length > st.max_query_length:
             st.max_query_length = length
 
     def contains_substring(self, q) -> bool:
@@ -133,12 +143,29 @@ class _Right:
                 return -1
         return s
 
+    def _build(self) -> None:
+        self._nxt = SuffixAutomaton(self._o._hidden).next
+        self._state = self._walk(0, self._known)
+
     def probe(self, t) -> bool:
         self._o._count("substring", len(self._known) + len(t))
         if self._nxt is None:
-            self._nxt = SuffixAutomaton(self._o._hidden).next
-            self._state = self._walk(0, self._known)
+            self._build()
         return self._walk(self._state, t) >= 0
+
+    def first(self, symbols) -> int:
+        if self._nxt is None:
+            self._build()
+        s = self._state
+        if s >= 0:
+            row = self._nxt[s]
+            width = len(row)
+            for i, c in enumerate(symbols):
+                if c < width and row[c]:
+                    self._o._count("substring", len(self._known) + 1, i + 1)
+                    return i
+        self._o._count("substring", len(self._known) + 1, len(symbols))
+        return -1
 
     def advance(self, t) -> None:
         self._known += t
@@ -179,6 +206,16 @@ class _Left:
                 return True
         return False
 
+    def first(self, symbols) -> int:
+        hidden = self._o._hidden
+        before = {hidden[p - 1] for p in self._occ if p}
+        for i, c in enumerate(symbols):
+            if c in before:
+                self._o._count("substring", len(self._rev) + 1, i + 1)
+                return i
+        self._o._count("substring", len(self._rev) + 1, len(symbols))
+        return -1
+
     def advance(self, t) -> None:
         m = len(t)
         head = t[::-1]
@@ -204,6 +241,18 @@ class _Prefix:
         k = len(self._known)
         self._o._count("prefix", k + len(t))
         return self._ok and self._o._hidden.startswith(t, k)
+
+    def first(self, symbols) -> int:
+        k = len(self._known)
+        hidden = self._o._hidden
+        if self._ok and k < len(hidden):
+            c = hidden[k]
+            for i, x in enumerate(symbols):
+                if x == c:
+                    self._o._count("prefix", k + 1, i + 1)
+                    return i
+        self._o._count("prefix", k + 1, len(symbols))
+        return -1
 
     def advance(self, t) -> None:
         self._ok = self._ok and self._o._hidden.startswith(t, len(self._known))
@@ -231,6 +280,12 @@ class _Full:
 
     def probe(self, t) -> bool:
         return self._query(self._join(t))
+
+    def first(self, symbols) -> int:
+        for i, c in enumerate(symbols):
+            if self.probe(bytes((c,))):
+                return i
+        return -1
 
     def advance(self, t) -> None:
         self._known = self._join(t)

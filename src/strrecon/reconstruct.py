@@ -176,39 +176,40 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, ext) -> bytes:
 
 
 def _grow_symbols(sigma: int, model, seed: bytes) -> int:
-    """Naive: one symbol per step, the smallest that extends; at most sigma
-    probes per step plus one full round of failures."""
-    probe, advance = model.probe, model.advance
-    symbols = _SYMBOLS[1 : sigma + 1]
+    """Naive: one symbol per step, the smallest that extends, found by one
+    `first` call over 1..sigma that charges one query per symbol tried; at
+    most sigma queries per step plus one full round of failures."""
+    first, advance = model.first, model.advance
+    symbols = bytes(range(1, sigma + 1))
     for steps in count():
-        for t in symbols:
-            if probe(t):
-                advance(t)
-                break
-        else:
+        i = first(symbols)
+        if i < 0:
             return steps
+        advance(_SYMBOLS[i + 1])
 
 
 def _grow_runs(sigma: int, model, seed: bytes) -> int:
-    """rle: one maximal run per step; at most sigma symbol probes plus an
-    exponential search on the run length.
+    """rle: one maximal run per step; its symbol is found by one `first` call
+    over 1..sigma without the skipped symbol (at most sigma queries),
+    then its length by an exponential search.
 
     Each accepted run is maximal at its (unique, by the suffix invariant)
     occurrence, so the same symbol cannot start the next run and is skipped.
     The last run of the seed is maximal as well (it was found as the longest
     run of its symbol anywhere, or accepted by a failed longer probe).
     """
-    probe = model.probe
+    first, probe = model.first, model.probe
+    symbols = bytes(range(1, sigma + 1))
+    without = [symbols.replace(_SYMBOLS[c], b"") for c in range(sigma + 1)]
     skip = seed[-1] if seed else 0
     for steps in count():
-        for c in range(1, sigma + 1):
-            if c != skip and probe(_SYMBOLS[c]):
-                break
-        else:
+        rest = without[skip]
+        i = first(rest)
+        if i < 0:
             return steps
-        unit = _SYMBOLS[c]
+        skip = rest[i]
+        unit = _SYMBOLS[skip]
         model.advance(unit * _max_true(lambda l: probe(unit * l)))
-        skip = c
 
 
 def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:

@@ -139,9 +139,12 @@ def test_cli_bench_rejects_a_bad_group_before_running(tmp_path, capsys):
 def test_readme_algorithm_table_matches_the_bounds():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("## Algorithms", 1)[1].split("\n\n", 2)[1]
-    names = {name for row in table.splitlines()[2:]
-             for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
-    assert names == set(TABLE)
+    # each row's names and its "queries used" cell, which must name the
+    # QueryStats field its bound limits
+    rows = [row.split("|") for row in table.splitlines()[2:]]
+    counters = {name: cells[2].strip() for cells in rows
+                for name in re.findall(r"`([^`]+)`", cells[1])}
+    assert counters == {name: row.counter.removesuffix("_queries") for name, row in TABLE.items()}
 
 
 def test_run_experiments_all_algorithms():
