@@ -19,9 +19,11 @@ a probe in time linear in ``t`` and ``first`` in time linear in
 ``symbols``:
 
 - right (substring ``known + t``): the state of ``known`` in the suffix
-  automaton of the hidden string (:mod:`strrecon.automaton`), built on the
-  first probe; its per-state transition rows are walked as built, not
-  copied, and ``first`` reads one row slot per symbol;
+  automaton of the hidden string (:mod:`strrecon.automaton`), fetched on
+  the first probe with ``SuffixAutomaton.of``, which reuses the most recent
+  build of an equal string (a ``measure()`` of it, or an earlier cursor)
+  and builds one otherwise; its per-state transition rows are walked as
+  built, not copied, and ``first`` reads one row slot per symbol;
 - left (substring ``reverse(t) + known``): the start positions of
   ``known``, one slice compare each; ``first`` looks up each symbol among
   the symbols just before them;
@@ -126,7 +128,7 @@ class _Right:
     def __init__(self, o: Oracle, known: bytes):
         self._o = o
         self._known = bytearray(known)
-        self._nxt: list[array] | None = None  # built on the first probe
+        self._nxt: list[array] | None = None  # fetched on the first probe
         self._state = 0
 
     def _walk(self, s: int, t) -> int:
@@ -144,7 +146,7 @@ class _Right:
         return s
 
     def _build(self) -> None:
-        self._nxt = SuffixAutomaton(self._o._hidden).next
+        self._nxt = SuffixAutomaton.of(self._o._hidden).next
         self._state = self._walk(0, self._known)
 
     def probe(self, t) -> bool:

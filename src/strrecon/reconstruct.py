@@ -260,7 +260,6 @@ def _drive(o, sigma: int, sides: tuple[str, ...], grow, algorithm: str, unit: st
         steps = grow(sigma, model, known[::-1] if side == "left" else known)
         phases.append(Phase("backward" if side == "left" else "forward", steps, unit))
         known = model.result()
-        del model  # frees a right cursor's automaton before the next phase
     return ReconstructionReport(
         recovered=Text(known, sigma),
         stats=o.stats(),

@@ -1,4 +1,5 @@
-"""The suffix automaton against brute-force substring sets."""
+"""The suffix automaton against brute-force substring sets, and the one
+build that measure() and the oracle's right cursors share."""
 from __future__ import annotations
 
 import itertools
@@ -6,7 +7,17 @@ import random
 
 import pytest
 
+from strrecon import (
+    Oracle,
+    generate,
+    measure,
+    reconstruct_lz_substring,
+    reconstruct_naive,
+    reconstruct_rle,
+)
 from strrecon.automaton import SuffixAutomaton
+
+RIGHT_CURSOR_ALGOS = (reconstruct_naive, reconstruct_rle, reconstruct_lz_substring)
 
 
 def walk(sam: SuffixAutomaton, t) -> int | None:
@@ -66,3 +77,72 @@ def test_empty_and_single_symbol():
     sam = SuffixAutomaton(b"\x03")
     assert len(sam.next) == 2 and walk(sam, b"\x03") == 1
     assert walk(sam, b"\x03\x03") is None and walk(sam, b"\x02") is None
+
+
+# ------------------------------------------------------------- shared build
+
+@pytest.fixture
+def builds(monkeypatch) -> list[bytes]:
+    """The string of every SuffixAutomaton built from now on, in order, with
+    no build remembered at the start."""
+    built: list[bytes] = []
+    init = SuffixAutomaton.__init__
+
+    def counting_init(self, data):
+        built.append(bytes(data))
+        init(self, data)
+
+    monkeypatch.setattr(SuffixAutomaton, "__init__", counting_init)
+    monkeypatch.setattr(SuffixAutomaton, "_last", None)
+    return built
+
+
+def test_measure_then_right_cursors_build_once(builds):
+    t = generate("random", 300, 4, 1)
+    measure(t)
+    for algo in RIGHT_CURSOR_ALGOS:
+        assert algo(Oracle(t), t.sigma).recovered.symbols == t.symbols
+    assert builds == [t.symbols]
+
+
+def test_a_different_string_builds_again(builds):
+    t = generate("random", 300, 4, 1)
+    other = generate("random", 300, 4, 2)
+    measure(t)
+    assert reconstruct_naive(Oracle(other), other.sigma).recovered.symbols == other.symbols
+    assert reconstruct_rle(Oracle(t), t.sigma).recovered.symbols == t.symbols
+    assert builds == [t.symbols, other.symbols, t.symbols]
+
+
+def test_an_equal_distinct_string_reuses_the_build(builds):
+    a = bytes(range(1, 40)) * 3
+    b = bytes(bytearray(a))
+    assert a == b and a is not b
+    sam = SuffixAutomaton(a)
+    assert SuffixAutomaton.of(b) is sam
+    assert builds == [a]
+
+
+def test_a_mutated_bytearray_cannot_poison_a_lookup(builds):
+    buf = bytearray(b"\x01\x02\x01\x02")
+    sam = SuffixAutomaton(buf)
+    buf[0] = 3
+    assert sam.data == b"\x01\x02\x01\x02" and isinstance(sam.data, bytes)
+    for key in (buf, bytes(buf)):
+        fresh = SuffixAutomaton.of(key)
+        assert fresh is not sam and fresh.data == bytes(buf)
+        assert walk(fresh, b"\x03\x02") is not None and walk(fresh, b"\x01\x02\x01") is None
+    assert builds == [b"\x01\x02\x01\x02", bytes(buf)]
+
+
+@pytest.mark.parametrize("algo", RIGHT_CURSOR_ALGOS, ids=lambda f: f.__name__)
+def test_a_reused_build_gives_the_same_report(builds, algo):
+    t = generate("copy-paste(4)", 400, 3, 7)
+    fresh = algo(Oracle(t), t.sigma)  # its right cursor builds
+    SuffixAutomaton._last = None
+    measure(t)
+    reused = algo(Oracle(t), t.sigma)  # its right cursor reuses measure's build
+    assert builds == [t.symbols, t.symbols]
+    assert reused.stats == fresh.stats
+    assert reused.recovered.symbols == fresh.recovered.symbols == t.symbols
+    assert reused.phrases_emitted == fresh.phrases_emitted

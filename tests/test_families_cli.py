@@ -2,12 +2,23 @@
 from __future__ import annotations
 
 import io
+import math
 import re
 from pathlib import Path
 
 import pytest
 
-from strrecon import Text, generate, measure, parse_csv, parse_sweep, to_letters
+from strrecon import (
+    MeasureReport,
+    QueryStats,
+    ReconstructionReport,
+    Text,
+    generate,
+    measure,
+    parse_csv,
+    parse_sweep,
+    to_letters,
+)
 from strrecon.bench import TABLE, emit_csv, run_experiments, run_one
 from strrecon.cli import main
 from strrecon.families import FAMILIES
@@ -139,12 +150,31 @@ def test_cli_bench_rejects_a_bad_group_before_running(tmp_path, capsys):
 def test_readme_algorithm_table_matches_the_bounds():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("## Algorithms", 1)[1].split("\n\n", 2)[1]
-    # each row's names and its "queries used" cell, which must name the
-    # QueryStats field its bound limits
-    rows = [row.split("|") for row in table.splitlines()[2:]]
-    counters = {name: cells[2].strip() for cells in rows
-                for name in re.findall(r"`([^`]+)`", cells[1])}
+    # each row's names, its "queries used" cell, which must name the
+    # QueryStats field its bound limits, and its bound cell (the row's last
+    # code span; it may hold the pipes of |code|)
+    counters, bounds = {}, {}
+    for row in table.splitlines()[2:]:
+        cells = row.split("|")
+        for name in re.findall(r"`([^`]+)`", cells[1]):
+            counters[name] = cells[2].strip()
+            bounds[name] = re.findall(r"`([^`]+)`", row)[-1]
     assert counters == {name: row.counter.removesuffix("_queries") for name, row in TABLE.items()}
+    assert bounds.keys() == TABLE.keys()
+    # each bound cell, read over sigma, n, rle, p and |code|, is TABLE's bound
+    samples = [  # (measures, phrases emitted, code length)
+        (MeasureReport(n=16, sigma=2, rle=5, z=4, z_no=5), 4, 9),
+        (MeasureReport(n=1000, sigma=26, rle=1000, z=400, z_no=420), 380, 1000),
+        (MeasureReport(n=4096, sigma=4, rle=1500, z=300, z_no=310), 290, 2047),
+    ]
+    for name, cell in bounds.items():
+        expr = re.sub(r"log2 (\w+)", r"log2(\1)", cell.replace("|code|", "code"))
+        for m, p, code in samples:
+            rep = ReconstructionReport(Text(b"\x01", 1), QueryStats(), [], name,
+                                       phrases_emitted=p, extras={"code_length": code})
+            names = {"sigma": m.sigma, "n": m.n, "rle": m.rle, "p": p, "code": code}
+            value = eval(expr, {"__builtins__": {}, "log2": math.log2}, names)
+            assert value == pytest.approx(TABLE[name].bound(rep, m)), (name, cell, m)
 
 
 def test_run_experiments_all_algorithms():
