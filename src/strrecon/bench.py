@@ -29,8 +29,6 @@ from .reconstruct import (
 from .text import Text
 from .universal import DEFAULT_CAP, IdentityBits, RunLengthBits, reconstruct_universal
 
-CSV_HEADER = "algo,family,n,sigma,rle,z,z_no,phrases,sub_q,pre_q,sym_total,ms,exact,bound_ok"
-
 ALGORITHMS = {
     "naive": reconstruct_naive,
     "rle": reconstruct_rle,
@@ -60,6 +58,9 @@ class ExperimentRow:
     ms: int
     exact: bool
     bound_ok: bool
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ExperimentRow))
 
 
 class Algorithm(NamedTuple):

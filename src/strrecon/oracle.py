@@ -19,11 +19,11 @@ a probe in time linear in ``t`` and ``first`` in time linear in
 ``symbols``:
 
 - right (substring ``known + t``): the state of ``known`` in the suffix
-  automaton of the hidden string (:mod:`strrecon.automaton`), fetched on
-  the first probe with ``SuffixAutomaton.of``, which reuses the most recent
-  build of an equal string (a ``measure()`` of it, or an earlier cursor)
-  and builds one otherwise; its per-state transition rows are walked as
-  built, not copied, and ``first`` reads one row slot per symbol;
+  automaton of the hidden string (:mod:`strrecon.automaton`), fetched when
+  the cursor is made with ``SuffixAutomaton.of``, which reuses the most
+  recent build of an equal string (a ``measure()`` of it, or an earlier
+  cursor) and builds one otherwise; its per-state transition rows are
+  walked as built, not copied, and ``first`` reads one row slot per symbol;
 - left (substring ``reverse(t) + known``): the start positions of
   ``known``, one slice compare each; ``first`` looks up each symbol among
   the symbols just before them;
@@ -38,7 +38,6 @@ may keep it, say as a dict key.
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 from .automaton import SuffixAutomaton
@@ -121,6 +120,7 @@ class _Right:
     suffix automaton of the hidden string (Blumer et al. 1985), reading its
     transition rows as they are: nxt[s][c], 0 for no transition (the root is
     never a target), and no transition for a symbol at or past the row width.
+    The automaton is fetched, and known walked, when the cursor is made.
     State -1 means known does not occur."""
 
     __slots__ = ("_o", "_known", "_nxt", "_state")
@@ -128,8 +128,8 @@ class _Right:
     def __init__(self, o: Oracle, known: bytes):
         self._o = o
         self._known = bytearray(known)
-        self._nxt: list[array] | None = None  # fetched on the first probe
-        self._state = 0
+        self._nxt = SuffixAutomaton.of(o._hidden).next
+        self._state = self._walk(0, known)
 
     def _walk(self, s: int, t) -> int:
         """The state reached from s by reading t, or -1."""
@@ -145,19 +145,11 @@ class _Right:
                 return -1
         return s
 
-    def _build(self) -> None:
-        self._nxt = SuffixAutomaton.of(self._o._hidden).next
-        self._state = self._walk(0, self._known)
-
     def probe(self, t) -> bool:
         self._o._count("substring", len(self._known) + len(t))
-        if self._nxt is None:
-            self._build()
         return self._walk(self._state, t) >= 0
 
     def first(self, symbols) -> int:
-        if self._nxt is None:
-            self._build()
         s = self._state
         if s >= 0:
             row = self._nxt[s]
@@ -171,8 +163,7 @@ class _Right:
 
     def advance(self, t) -> None:
         self._known += t
-        if self._nxt is not None:
-            self._state = self._walk(self._state, t)
+        self._state = self._walk(self._state, t)
 
     def result(self) -> bytes:
         return bytes(self._known)

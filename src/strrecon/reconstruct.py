@@ -72,16 +72,13 @@ def _check_sigma(o, sigma: int) -> None:
         raise ValueError(f"sigma {sigma} is below the oracle's alphabet size {o.sigma}")
 
 
-def _max_true(pred, known: int = 1, cap: int | None = None) -> int:
-    """Largest l with pred(l) true, for monotone pred with pred(known) true.
+def _max_true(pred, cap: int | None = None) -> int:
+    """Largest l with pred(l) true, for monotone pred with pred(1) true.
 
-    Doubles from `known` until failure (or past `cap`), then bisects:
+    Doubles from 1 until failure (or past `cap`), then bisects:
     at most 2*ceil(log2(answer)) + 2 calls.
     """
-    if cap is not None and known >= cap:
-        return known
-    lo = known
-    hi = known * 2
+    lo, hi = 1, 2
     while (cap is None or hi <= cap) and pred(hi):
         lo = hi
         hi *= 2
@@ -96,8 +93,24 @@ def _max_true(pred, known: int = 1, cap: int | None = None) -> int:
     return lo
 
 
-def _memoized(probe):
-    """probe(t), asked at most once per distinct candidate t."""
+def decompose_snapshot(snap: TreeSnapshot) -> CentroidTree:
+    """The centroid decomposition of one snapshot, as the LZ loop rebuilds it
+    (perfbench times this layer through this name)."""
+    return decompose(snap.children)
+
+
+def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, probe) -> bytes:
+    """Longest t spelled by a root path of the (snapshotted) suffix tree
+    such that probe(t) holds; b"" when not even one symbol extends.
+
+    Walks the centroid tree: at each visited node u, one query verifies
+    locus(u); a verified node is left through the suffix-tree child whose
+    first edge symbol still extends (<= sigma probes, ascending), an
+    unverified one through its suffix-tree parent's component. The deepest
+    verified node is then extended along at most one partial edge with an
+    exponential search. Each distinct t is asked at most once (one memo per
+    call); an empty result means every symbol in the snapshot was asked.
+    """
     memo: dict[bytes, bool] = {}
 
     def ext(t: bytes) -> bool:
@@ -106,27 +119,6 @@ def _memoized(probe):
             a = memo[t] = bool(probe(t))
         return a
 
-    return ext
-
-
-def decompose_snapshot(snap: TreeSnapshot) -> CentroidTree:
-    """The centroid decomposition of one snapshot, as the LZ loop rebuilds it
-    (perfbench times this layer through this name)."""
-    return decompose(snap.children)
-
-
-def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, ext) -> bytes:
-    """Longest t spelled by a root path of the (snapshotted) suffix tree
-    such that ext(t) holds; b"" when not even one symbol extends.
-
-    Walks the centroid tree: at each visited node u, one query verifies
-    locus(u); a verified node is left through the suffix-tree child whose
-    first edge symbol still extends (<= sigma probes, ascending), an
-    unverified one through its suffix-tree parent's component. The deepest
-    verified node is then extended along at most one partial edge with an
-    exponential search. All ext calls are assumed memoized by the caller, so
-    revisiting a probe is free.
-    """
     text = snap.text
     depth = snap.depth
     first_occ = snap.first_occ
@@ -168,7 +160,7 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, ext) -> bytes:
             return result
         edge = locus(nxt)[depth[cur]:]
         base = result
-        k = _max_true(lambda l: ext(base + edge[:l]), known=1, cap=len(edge))
+        k = _max_true(lambda l: ext(base + edge[:l]), cap=len(edge))
         result = base + edge[:k]
         if k < len(edge):
             return result
@@ -215,33 +207,33 @@ def _grow_runs(sigma: int, model, seed: bytes) -> int:
 def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
     """Phrase-at-a-time growth loop shared by the LZ reconstructors.
 
+    Each step takes the phrase search's answer or, when it is empty, the
+    smallest fresh symbol that extends, by one `first` call over the symbols
+    absent from the snapshot's text (the search asked all the others).
+
     Returns the number of phrases emitted; the grown string lives in the
     model. `records` collects (size, height, balanced) per decomposition
     built, for diagnostics.
     """
     st = SuffixTree(sigma)
     st.extend(seed)
-    snap = st.snapshot()
-    ct = decompose_snapshot(snap)
-    records.append((ct.size, ct.height, ct.balanced))
-    snap_len = len(seed)
+    symbols = bytes(range(1, sigma + 1))
+    rebuild_at = 0  # the first pass always takes a snapshot
     for phrases in count():
-        ext = _memoized(model.probe)
-        phrase = _phrase_search(snap, ct, ext)
-        if not phrase:
-            for probe in _SYMBOLS[1 : sigma + 1]:
-                if ext(probe):
-                    phrase = probe
-                    break
-        if not phrase:
-            return phrases
-        model.advance(phrase)
-        st.extend(phrase)
-        if len(st.text) >= max(1, snap_len * _REBUILD_FACTOR):
+        if len(st.text) >= rebuild_at:
             snap = st.snapshot()
             ct = decompose_snapshot(snap)
             records.append((ct.size, ct.height, ct.balanced))
-            snap_len = len(st.text)
+            rebuild_at = max(1, len(st.text) * _REBUILD_FACTOR)
+            fresh = symbols.translate(None, snap.text)
+        phrase = _phrase_search(snap, ct, model.probe)
+        if not phrase:
+            i = model.first(fresh)
+            if i < 0:
+                return phrases
+            phrase = _SYMBOLS[fresh[i]]
+        model.advance(phrase)
+        st.extend(phrase)
 
 
 def _drive(o, sigma: int, sides: tuple[str, ...], grow, algorithm: str, unit: str,

@@ -256,12 +256,18 @@ def reconstruct_universal(o, n: int, c: Compressor) -> ReconstructionReport:
     """Reconstruct a binary hidden string of known length n <= DEFAULT_CAP by
     halving candidate sets under an exponentially growing code budget. Every
     answer is verified with a full-length query (an equality test) before
-    being returned."""
+    being returned. An oracle whose string is not of length n, or whose
+    alphabet is larger than 2, is rejected before any query."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > DEFAULT_CAP:
         raise ValueError(
             f"n={n} exceeds the enumeration cap {DEFAULT_CAP}; this walks all 2^n strings"
+        )
+    if len(o) != n or o.sigma > 2:
+        raise ReconstructionError(
+            f"the oracle holds {len(o)} symbols over an alphabet of {o.sigma}; "
+            f"the hidden string is not binary of length {n}"
         )
     uni = _universe(n)
     code_len, max_k, _ = _code_table(c, n)

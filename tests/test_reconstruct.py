@@ -21,7 +21,7 @@ from strrecon import (
     to_letters,
 )
 from strrecon.bench import bound_holds, run_one
-from strrecon.reconstruct import _max_true, _memoized, _phrase_search, decompose_snapshot
+from strrecon.reconstruct import _max_true, _phrase_search, decompose_snapshot
 
 ALGOS = [reconstruct_naive, reconstruct_rle, reconstruct_lz_prefix, reconstruct_lz_substring]
 ALGO_NAMES = ["naive", "rle", "lz-prefix", "lz-substring"]
@@ -135,7 +135,7 @@ def phrase_search(known: Text, extend) -> bytes:
     tree = SuffixTree(known.sigma)
     tree.extend(known.symbols)
     snap = tree.snapshot()
-    return _phrase_search(snap, decompose_snapshot(snap), _memoized(extend))
+    return _phrase_search(snap, decompose_snapshot(snap), extend)
 
 
 def test_phrase_search_finds_longest_extending_substring():
@@ -235,6 +235,73 @@ class _HashingOracle(Oracle):
 
     def is_prefix(self, q) -> bool:
         return self._log(b"P", q, super().is_prefix(q))
+
+
+class _LoggingOracle(Oracle):
+    """An oracle that also logs every query as kind, answer and letters,
+    e.g. "P0abca" for a prefix query abca answered no."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, hidden: Text):
+        super().__init__(hidden)
+        self.log: list[str] = []
+
+    def contains_substring(self, q) -> bool:
+        answer = super().contains_substring(q)
+        self.log.append(f"S{answer:d}{to_letters(q)}")
+        return answer
+
+    def is_prefix(self, q) -> bool:
+        answer = super().is_prefix(q)
+        self.log.append(f"P{answer:d}{to_letters(q)}")
+        return answer
+
+
+# On both strings a phrase search comes back empty over a snapshot that lacks
+# a symbol of the known string (abccc: c, snapshot ab; aabcc: b, snapshot aa),
+# and the fresh-symbol fallback must ask that symbol; with sigma 4 the symbol
+# d never occurs and is asked last.
+STALE_SNAPSHOT_LOGS = {
+    ("abccc", 3, "lz-prefix"):
+        "P1a P0aa P1ab P0aba P0abb P1abc P0abca P0abcb P1abcc P0abcca P0abccb P1abccc"
+        " P0abcccc P0abccca P0abcccb P0abcccc",
+    ("abccc", 3, "lz-substring"):
+        "S1a S0aa S1ab S0aba S0abb S1abc S0abca S0abcb S1abcc S0abcca S0abccb S1abccc"
+        " S0abcccc S0abccca S0abcccb S0abcccc S0cabccc S0aabccc S0babccc",
+    ("abccc", 4, "lz-prefix"):
+        "P1a P0aa P1ab P0aba P0abb P1abc P0abca P0abcb P1abcc P0abcca P0abccb P1abccc"
+        " P0abcccc P0abccca P0abcccb P0abcccc P0abcccd",
+    ("abccc", 4, "lz-substring"):
+        "S1a S0aa S1ab S0aba S0abb S1abc S0abca S0abcb S1abcc S0abcca S0abccb S1abccc"
+        " S0abcccc S0abccca S0abcccb S0abcccc S0abcccd S0cabccc S0aabccc S0babccc S0dabccc",
+    ("aabcc", 3, "lz-prefix"):
+        "P1a P1aa P0aaa P1aab P0aaba P0aabb P1aabc P0aabca P0aabcb P1aabcc P0aabcca"
+        " P0aabccb P0aabccc",
+    ("aabcc", 3, "lz-substring"):
+        "S1a S1aa S0aaa S1aab S0aaba S0aabb S1aabc S0aabca S0aabcb S1aabcc S0aabcca"
+        " S0aabccb S0aabccc S0aaabcc S0baabcc S0caabcc",
+    ("aabcc", 4, "lz-prefix"):
+        "P1a P1aa P0aaa P1aab P0aaba P0aabb P1aabc P0aabca P0aabcb P1aabcc P0aabcca"
+        " P0aabccb P0aabccc P0aabccd",
+    ("aabcc", 4, "lz-substring"):
+        "S1a S1aa S0aaa S1aab S0aaba S0aabb S1aabc S0aabca S0aabcb S1aabcc S0aabcca"
+        " S0aabccb S0aabccc S0aabccd S0aaabcc S0baabcc S0caabcc S0daabcc",
+}
+
+
+@pytest.mark.parametrize("case", STALE_SNAPSHOT_LOGS, ids=lambda c: "-".join(map(str, c)))
+def test_fresh_symbols_after_a_stale_snapshot_are_pinned(case):
+    letters, sigma, name = case
+    hidden = from_letters(letters, sigma)
+    algo = dict(zip(ALGO_NAMES, ALGOS))[name]
+    o = _LoggingOracle(hidden)
+    assert algo(o, sigma).recovered.symbols == hidden.symbols
+    assert " ".join(o.log) == STALE_SNAPSHOT_LOGS[case]
+    # the native cursors charge the same queries and symbols
+    native = algo(Oracle(hidden), sigma).stats
+    assert native.total_queries == len(o.log)
+    assert native.total_queried_symbols == sum(len(q) - 2 for q in o.log)
 
 
 PINNED_TRANSCRIPTS = {

@@ -22,6 +22,7 @@ from strrecon import (
     Text,
     compressor_from_reconstructor,
     from_bits,
+    from_letters,
     reconstruct_lz_prefix,
     reconstruct_lz_substring,
     reconstruct_naive,
@@ -427,6 +428,21 @@ def test_universal_detects_too_short_hidden_string():
     o = Oracle(from_bits("01"))
     with pytest.raises(ReconstructionError):
         reconstruct_universal(o, 4, IdentityBits())
+
+
+@pytest.mark.parametrize(
+    "hidden, n",
+    [(from_bits("0110100111"), 9),   # one short: a substring would verify
+     (from_letters("abcab"), 5)],    # the right length over three symbols
+    ids=["one-short", "sigma-3"],
+)
+def test_universal_rejects_a_mismatched_oracle_before_any_query(hidden, n):
+    from strrecon import ReconstructionError
+
+    o = Oracle(hidden)
+    with pytest.raises(ReconstructionError, match=f"not binary of length {n}$"):
+        reconstruct_universal(o, n, IdentityBits())
+    assert o.stats().total_queries == 0
 
 
 # ------------------------------------- reconstruction algorithms as codecs
