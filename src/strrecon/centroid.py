@@ -15,8 +15,10 @@ holding more than half the component. A tree has at most two centroids; the
 second one can only be a child of c holding exactly half, and the smaller
 node id wins. Removing c leaves each live child of c on top of a component
 whose sizes are already right, and the parent side keeps its top once
-size[c] is subtracted along the path from parent(c) up to the top. Each walk
-and each path update stays inside one component, and a node lies in
+size[c] is subtracted along the path from parent(c) up to the top. A
+component left with one node is its own centroid and is placed at once,
+without a task of its own (about half a suffix tree's nodes are leaves).
+Each walk and each path update stays inside one component, and a node lies in
 O(log m) components, so the whole decomposition takes O(m log m) (Della
 Giustina, Prezza and Venturini, SPIRE 2019, avoid even the log factor).
 """
@@ -87,7 +89,6 @@ def decompose(kids: list[list[int]]) -> CentroidTree:
     parent_ct = [-1] * m
     depth_ct = [0] * m
     balanced = True
-    height = 1
     root = 0
     # each task decomposes the component whose shallowest node is `top`,
     # hanging its centroid under `ct_parent`
@@ -122,13 +123,9 @@ def decompose(kids: list[list[int]]) -> CentroidTree:
             root = c
         else:
             depth_ct[c] = depth_ct[ct_parent] + 1
-            if depth_ct[c] >= height:
-                height = depth_ct[c] + 1
         sc = size[c]
         size[c] = 0
-        for w in kids[c]:
-            if size[w]:
-                tasks.append((w, c))
+        tops = kids[c]  # the top of each component c leaves, once removed
         if c != top:
             p = parent[c]
             while True:
@@ -136,5 +133,14 @@ def decompose(kids: list[list[int]]) -> CentroidTree:
                 if p == top:
                     break
                 p = parent[p]
-            tasks.append((top, c))
-    return CentroidTree(root, parent_ct, depth_ct, height, balanced)
+            tops = [*tops, top]
+        below = depth_ct[c] + 1
+        for w in tops:
+            sw = size[w]
+            if sw == 1:  # a one-node component is its own centroid: place it now
+                size[w] = 0
+                parent_ct[w] = c
+                depth_ct[w] = below
+            elif sw:
+                tasks.append((w, c))
+    return CentroidTree(root, parent_ct, depth_ct, max(depth_ct) + 1, balanced)

@@ -6,8 +6,8 @@ Four strategies, all exact:
 - rle: one maximal run at a time; run lengths found by exponential search.
 - lz-substring: one LZ77-style phrase at a time; each phrase is the longest
   known substring that still extends the known string, found by searching
-  the centroid decomposition of the suffix tree built (online) over
-  everything reconstructed so far.
+  the centroid decomposition of a snapshot of the suffix tree built
+  (online) over the known string, taken each time it doubles.
 - lz-prefix: the same phrase machinery against a prefix oracle, forward only.
 
 Each strategy is a grow loop over an extension model, which is an oracle
@@ -211,20 +211,24 @@ def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
     smallest fresh symbol that extends, by one `first` call over the symbols
     absent from the snapshot's text (the search asked all the others).
 
-    Returns the number of phrases emitted; the grown string lives in the
-    model. `records` collects (size, height, balanced) per decomposition
-    built, for diagnostics.
+    The suffix tree is read only through snapshots, so it is extended to
+    the grown string only when a snapshot is due, with everything grown
+    since the last one (Ukkonen's algorithm gives the same tree and node ids
+    however its input is chunked). Returns the number of phrases emitted;
+    the model holds the result. `records` collects (size, height, balanced)
+    per decomposition built, for diagnostics.
     """
     st = SuffixTree(sigma)
-    st.extend(seed)
+    grown = bytearray(seed)  # the known string in model orientation
     symbols = bytes(range(1, sigma + 1))
     rebuild_at = 0  # the first pass always takes a snapshot
     for phrases in count():
-        if len(st.text) >= rebuild_at:
+        if len(grown) >= rebuild_at:
+            st.extend(grown[len(st.text):])
             snap = st.snapshot()
             ct = decompose_snapshot(snap)
             records.append((ct.size, ct.height, ct.balanced))
-            rebuild_at = max(1, len(st.text) * _REBUILD_FACTOR)
+            rebuild_at = max(1, len(grown) * _REBUILD_FACTOR)
             fresh = symbols.translate(None, snap.text)
         phrase = _phrase_search(snap, ct, model.probe)
         if not phrase:
@@ -233,7 +237,7 @@ def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
                 return phrases
             phrase = _SYMBOLS[fresh[i]]
         model.advance(phrase)
-        st.extend(phrase)
+        grown += phrase
 
 
 def _drive(o, sigma: int, sides: tuple[str, ...], grow, algorithm: str, unit: str,

@@ -5,16 +5,26 @@ so suffixes that are proper prefixes of other suffixes have no leaf. Edge
 labels are position intervals into the shared text.
 
 The live tree is kept in flat per-node lists indexed by node id (creation
-order, root 0). Ukkonen's algorithm creates leaves in increasing order of
+order, root 0); `extend` appends a new node's entries inline, one bound
+`append` per list. Ukkonen's algorithm creates leaves in increasing order of
 suffix start and never removes one, so the oldest leaf below a node marks the
 first occurrence of its locus; a split node takes it over from the child it
 splits, and a snapshot is a plain copy of the lists.
+
+Ukkonen's algorithm never hangs a child under a leaf, so every leaf shares one
+read-only empty child map (`_LEAF_KIDS`): a leaf costs no dict, and a write to
+it would raise rather than corrupt the tree. Snapshots likewise give every
+leaf one shared empty tuple.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .text import Text, to_letters
+
+# The child map of every leaf: empty, shared and read-only.
+_LEAF_KIDS = MappingProxyType({})
 
 
 @dataclass
@@ -29,7 +39,7 @@ class TreeSnapshot:
     text: bytes
     depth: list[int]
     parent: list[int]
-    children: list[list[int]]  # per node: child ids in insertion order
+    children: list[list[int] | tuple[int, ...]]  # per node: child ids in insertion order
     first_occ: list[int]
     _by_symbol: dict[int, list[int]] = field(default_factory=dict, compare=False, repr=False)
 
@@ -64,7 +74,7 @@ class SuffixTree:
         self._parent = [-1]
         self._depth = [0]        # string depth; unused for leaves (see string_depth)
         self._first = [0]        # start of the first occurrence of the locus
-        self._children: list[dict[int, int]] = [{}]  # first edge symbol -> child id
+        self._children: list = [{}]  # first edge symbol -> child id; _LEAF_KIDS at leaves
         self._slink = [0]
         self._active_node = 0
         self._active_edge = 0
@@ -78,16 +88,6 @@ class SuffixTree:
     def node_count(self) -> int:
         return len(self._start)
 
-    def _new_node(self, start: int, end: int, parent: int, depth: int, first: int) -> int:
-        self._start.append(start)
-        self._end.append(end)
-        self._parent.append(parent)
-        self._depth.append(depth)
-        self._first.append(first)
-        self._children.append({})
-        self._slink.append(0)
-        return len(self._start) - 1
-
     def append(self, c: int) -> None:
         """Add one symbol; the tree then represents all suffixes of text+c."""
         self.extend((c,))
@@ -100,7 +100,10 @@ class SuffixTree:
         text = self.text
         start, end, parent, depth = self._start, self._end, self._parent, self._depth
         first, children, slink = self._first, self._children, self._slink
-        new_node = self._new_node
+        add_start, add_end, add_parent, add_depth = start.append, end.append, parent.append, depth.append
+        add_first, add_kids, add_slink = first.append, children.append, slink.append
+        leaf_kids = _LEAF_KIDS
+        nodes = len(start)  # id of the next node
         active_node, active_edge, active_len = self._active_node, self._active_edge, self._active_len
         remainder = self._remainder
         for c in chunk:
@@ -115,7 +118,15 @@ class SuffixTree:
                 node = active_node
                 child = children[node].get(a_sym)
                 if child is None:
-                    children[node][a_sym] = new_node(pos, -1, node, 0, pos - depth[node])
+                    children[node][a_sym] = nodes
+                    add_start(pos)
+                    add_end(-1)
+                    add_parent(node)
+                    add_depth(0)
+                    add_first(pos - depth[node])
+                    add_kids(leaf_kids)
+                    add_slink(0)
+                    nodes += 1
                     if last_internal:
                         slink[last_internal] = node
                         last_internal = 0
@@ -133,12 +144,27 @@ class SuffixTree:
                         if last_internal:
                             slink[last_internal] = node
                         break
-                    split = new_node(cs, cs + active_len, node, depth[node] + active_len, first[child])
+                    # node `split` on the edge into child, then its new leaf
+                    split = nodes
+                    split_depth = depth[node] + active_len
                     children[node][a_sym] = split
-                    children[split][c] = new_node(pos, -1, split, 0, pos - depth[split])
+                    add_start(cs)
+                    add_end(cs + active_len)
+                    add_parent(node)
+                    add_depth(split_depth)
+                    add_first(first[child])
+                    add_kids({c: split + 1, text[cs + active_len]: child})
+                    add_slink(0)
+                    add_start(pos)
+                    add_end(-1)
+                    add_parent(split)
+                    add_depth(0)
+                    add_first(pos - split_depth)
+                    add_kids(leaf_kids)
+                    add_slink(0)
+                    nodes += 2
                     start[child] = cs + active_len
                     parent[child] = split
-                    children[split][text[cs + active_len]] = child
                     if last_internal:
                         slink[last_internal] = split
                     last_internal = split
@@ -206,7 +232,7 @@ class SuffixTree:
         """Copy the current tree into arrays indexed by node id."""
         n = len(self.text)
         depth = [n - f if e < 0 else d for d, f, e in zip(self._depth, self._first, self._end)]
-        children = [list(kids.values()) for kids in self._children]
+        children = [list(kids.values()) if kids else () for kids in self._children]
         return TreeSnapshot(bytes(self.text), depth, self._parent[:], children, self._first[:])
 
     def dump(self) -> str:

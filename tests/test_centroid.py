@@ -177,6 +177,24 @@ def test_star_and_caterpillar():
     check_decomposition(cat)
 
 
+@pytest.mark.parametrize(
+    "kids, root, parent, depth, height",
+    [([[1], []], 0, [-1, 0], [0, 1], 2),
+     (path(3), 1, [1, -1, 1], [1, 0, 1], 2),
+     ([[1, 2, 3, 4, 5], [], [], [], [], []], 0, [-1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 1, 1], 2),
+     ([[1, 4], [2, 5], [3, 6], [7], [], [], [], []],
+      1, [1, -1, 1, 2, 0, 1, 2, 3], [1, 0, 1, 2, 2, 1, 2, 3], 4)],
+    ids=["two-nodes", "path-3", "star-5", "caterpillar"],
+)
+def test_one_node_components_at_the_deepest_level(kids, root, parent, depth, height):
+    # one-node components are placed without a task of their own, so these
+    # pins cover the depth and height they get there; on two nodes both are
+    # centroids and 0 wins, on path-3 the root is left alone above the centroid
+    ct = decompose(kids)
+    assert (ct.root, ct.parent, ct.depth, ct.height, ct.balanced) == (root, parent, depth, height, True)
+    check_decomposition(kids)
+
+
 def test_suffix_tree_decomposition_is_logarithmic():
     rng = random.Random(9)
     s = bytes(rng.randint(1, 3) for _ in range(800))

@@ -237,6 +237,41 @@ class _HashingOracle(Oracle):
         return self._log(b"P", q, super().is_prefix(q))
 
 
+@pytest.mark.parametrize("algo", [reconstruct_lz_substring, reconstruct_lz_prefix],
+                         ids=["lz-substring", "lz-prefix"])
+def test_lz_tree_is_extended_only_as_far_as_snapshots_read(algo, monkeypatch):
+    # the phrase search reads the suffix tree only through snapshots, so each
+    # phase's tree must receive exactly the symbols of its last snapshot
+    fed: dict[SuffixTree, int] = {}
+    read: dict[SuffixTree, int] = {}
+    extend, snapshot = SuffixTree.extend, SuffixTree.snapshot
+
+    def counting_extend(self, chunk):
+        chunk = bytes(chunk)
+        fed[self] = fed.get(self, 0) + len(chunk)
+        extend(self, chunk)
+
+    def recording_snapshot(self):
+        snap = snapshot(self)
+        read[self] = len(snap.text)
+        return snap
+
+    monkeypatch.setattr(SuffixTree, "extend", counting_extend)
+    monkeypatch.setattr(SuffixTree, "snapshot", recording_snapshot)
+    unread = 0
+    for family, n, sigma in [("random", 300, 4), ("runs(5)", 200, 3), ("fibonacci", 233, 2),
+                             ("copy-paste(6)", 300, 3)]:
+        hidden = generate(family, n, sigma, seed=1)
+        fed.clear()
+        read.clear()
+        rep = algo(Oracle(hidden), sigma)
+        assert rep.recovered.symbols == hidden.symbols
+        assert len(fed) == len(rep.phases)
+        assert fed == read
+        unread += len(hidden) - max(read.values())
+    assert unread > 0  # the last snapshot of a phase is older than its end
+
+
 class _LoggingOracle(Oracle):
     """An oracle that also logs every query as kind, answer and letters,
     e.g. "P0abca" for a prefix query abca answered no."""

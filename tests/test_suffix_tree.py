@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strrecon import SuffixTree, from_letters, to_letters
+from strrecon.suffix_tree import _LEAF_KIDS
 
 
 def build(s: bytes, sigma: int) -> SuffixTree:
@@ -164,6 +165,55 @@ def test_online_build_matches_batch_build(s):
     # and first_occ kept up online equals that of a batch build
     for i, snap in enumerate(kept):
         assert snap == build(s[: i + 1], 3).snapshot()
+
+
+@given(strings, st.lists(st.integers(min_value=0, max_value=9), max_size=12))
+@settings(max_examples=200)
+def test_chunked_extension_matches_per_symbol_appends(s, cuts):
+    # Ukkonen's algorithm does not depend on how its input is chunked, so a
+    # tree extended only when a snapshot is due equals one fed per symbol
+    chunked = SuffixTree(3)
+    single = SuffixTree(3)
+    for k in cuts + [len(s)]:
+        chunk = s[len(chunked) : len(chunked) + k]
+        chunked.extend(chunk)
+        for c in chunk:
+            single.append(c)
+        assert chunked.snapshot() == single.snapshot()
+        assert chunked.node_count == single.node_count
+    assert bytes(chunked.text) == s
+
+
+def check_leaves(tree: SuffixTree) -> None:
+    """Every leaf holds the shared empty child map, which stayed empty and
+    read-only, and no query runs on past a leaf's end."""
+    text = bytes(tree.text)
+    leaves = [v for v in range(tree.node_count) if tree.is_leaf(v)]
+    assert leaves
+    for v in leaves:
+        assert tree._children[v] is _LEAF_KIDS
+        for c in range(1, tree.sigma + 1):
+            q = tree.locus(v) + bytes((c,))
+            assert q not in text
+            assert not tree.contains(q)
+    with pytest.raises(TypeError):
+        _LEAF_KIDS[1] = 1
+    assert len(_LEAF_KIDS) == 0
+    snap = tree.snapshot()
+    assert all(not snap.children[v] for v in leaves)
+
+
+@given(strings.filter(bool))
+@settings(max_examples=150)
+def test_leaves_share_one_read_only_empty_map(s):
+    check_leaves(build(s, 3))
+
+
+def test_leaves_of_long_and_deep_trees():
+    rng = random.Random(11)
+    check_leaves(build(bytes(rng.randint(1, 4) for _ in range(1500)), 4))
+    # a^1500 b: every leaf hangs off the 1500-level chain of a's
+    check_leaves(build(bytes([1] * 1500 + [2]), 2))
 
 
 def test_node_count_is_linear():
