@@ -1,7 +1,7 @@
 """Adaptive reconstruction of hidden strings from substring/prefix queries,
 with query counts tied to the string's compressibility."""
 
-from .bench import CSV_HEADER, ExperimentRow, emit_csv, parse_csv, parse_sweep, run_experiments, run_one
+from .bench import CSV_HEADER, ExperimentRow, emit_csv, parse_sweep, run_experiments, run_one
 from .centroid import CentroidTree, decompose
 from .families import generate
 from .measures import LZFactorization, LZPhrase, MeasureReport, lz77, measure, rle_runs
@@ -52,7 +52,6 @@ __all__ = [
     "generate",
     "lz77",
     "measure",
-    "parse_csv",
     "parse_sweep",
     "reconstruct_lz_prefix",
     "reconstruct_lz_substring",

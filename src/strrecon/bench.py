@@ -180,11 +180,11 @@ def parse_sweep(textio) -> list[dict]:
     space-separated key=value tokens; values may be comma lists, expanded as
     a cartesian product. '#' starts a comment.
 
-    Keys: algo, family, n, sigma (default 2), seed (default 0),
-    repeat (default 1, distinct seeds). Groups that `generate` would reject
-    (families.check_args) or that name an algorithm unknown to TABLE, or one
-    that cannot take the group's strings (check_input), are rejected before
-    anything runs.
+    Keys: algo, family, n, sigma (default 2), seed (default 0), repeat (one
+    integer >= 1, default 1: that many consecutive seeds). Groups that
+    `generate` would reject (families.check_args) or that name an algorithm
+    unknown to TABLE, or one that cannot take the group's strings
+    (check_input), are rejected before anything runs.
     """
     groups: list[dict] = []
     for lineno, raw in enumerate(textio, 1):
@@ -204,17 +204,20 @@ def parse_sweep(textio) -> list[dict]:
                 raise ValueError(f"sweep line {lineno}: missing {missing}=")
         opts.setdefault("sigma", ["2"])
         opts.setdefault("seed", ["0"])
-        repeat = int(opts.pop("repeat", ["1"])[0])
+        value = ",".join(opts.pop("repeat", ["1"]))
+        repeat = int(value) if value.isdecimal() else 0
+        if repeat < 1:
+            raise ValueError(f"sweep line {lineno}: repeat must be one integer >= 1, got {value!r}")
         for algo, family, n, sigma, seed in product(
                 opts["algo"], opts["family"], opts["n"], opts["sigma"], opts["seed"]):
             try:
-                n, sigma = int(n), int(sigma)
+                n, sigma, seed = int(n), int(sigma), int(seed)
                 check_input(algo, n, sigma)
                 check_args(family, n, sigma)
             except ValueError as e:
                 raise ValueError(f"sweep line {lineno}: {e}") from None
             groups.extend({"algo": algo, "family": family, "n": n, "sigma": sigma,
-                           "seed": int(seed) + extra} for extra in range(repeat))
+                           "seed": seed + extra} for extra in range(repeat))
     return groups
 
 
@@ -249,24 +252,3 @@ def emit_csv(rows: list[ExperimentRow]) -> str:
         lines.append(",".join(_cell(getattr(row, f.name)) for f in fields(ExperimentRow)))
     return "\n".join(lines) + "\n"
 
-
-def parse_csv(text: str) -> list[ExperimentRow]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or unexpected header")
-    rows = []
-    specs = fields(ExperimentRow)
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(specs):
-            raise ValueError(f"expected {len(specs)} cells, got {len(cells)}")
-        kwargs = {}
-        for f, cell in zip(specs, cells):
-            if f.type == "bool":
-                kwargs[f.name] = cell == "1"
-            elif f.type == "int":
-                kwargs[f.name] = int(cell)
-            else:
-                kwargs[f.name] = cell
-        rows.append(ExperimentRow(**kwargs))
-    return rows

@@ -7,7 +7,8 @@ Subcommands:
   bench        run a sweep file and emit one CSV row per experiment
 
 CSV goes to stdout, diagnostics to stderr. Exit status is 0 only when every
-emitted row is exact and within its query bound.
+emitted row is exact and within its query bound; a rejected input exits 1
+with one line on stderr.
 """
 from __future__ import annotations
 
@@ -70,13 +71,10 @@ def _emit(rows) -> int:
 def _cmd_run(args) -> int:
     """reconstruct and universal: one run of one algorithm, one CSV row."""
     algo = args.algo if args.command == "reconstruct" else f"universal-{args.compressor}"
-    try:
-        if not args.file:
-            bench.check_input(algo, args.n, args.sigma)  # before generating anything
-        hidden, family = _load_text(args)
-        bench.check_input(algo, len(hidden), hidden.sigma)
-    except ValueError as e:
-        raise SystemExit(str(e)) from None
+    if not args.file:
+        bench.check_input(algo, args.n, args.sigma)  # before generating anything
+    hidden, family = _load_text(args)
+    bench.check_input(algo, len(hidden), hidden.sigma)
     return _emit([bench.run_one(algo, hidden, family=family)])
 
 
@@ -113,7 +111,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as e:  # a rejected input: one line on stderr, exit 1
+        raise SystemExit(str(e)) from None
 
 
 if __name__ == "__main__":

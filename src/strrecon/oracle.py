@@ -3,38 +3,6 @@
 Reconstruction code only ever sees an :class:`Oracle`; the hidden string is
 never exposed. Every query is counted, including repeated identical ones, in
 one place (``Oracle._count``).
-
-Reconstructors ask only about ``known + t`` or ``t + known``, where ``known``
-is already verified, so they ask through cursors (:func:`cursor`). A cursor
-holds ``known``: ``probe(t)`` is one counted query and charges
-``len(known) + len(t)`` symbols, exactly as the full query would;
-``first(symbols)`` asks the one-symbol probes of the symbol values in
-``symbols``, in order, and returns the index of the first that is true, or
--1: it charges one query of ``len(known) + 1`` symbols per symbol tried
-(index + 1 on a hit, ``len(symbols)`` on a miss), exactly what those
-probes charge one by one; ``advance(t)`` extends ``known`` and asks
-nothing; ``result()`` returns ``known``. A cursor of an object whose class
-is exactly :class:`Oracle` keeps the match state of ``known`` and answers
-a probe in time linear in ``t`` and ``first`` in time linear in
-``symbols``:
-
-- right (substring ``known + t``): the state of ``known`` in the suffix
-  automaton of the hidden string (:mod:`strrecon.automaton`), fetched when
-  the cursor is made with ``SuffixAutomaton.of``, which reuses the most
-  recent build of an equal string (a ``measure()`` of it, or an earlier
-  cursor) and builds one otherwise; its per-state transition rows are
-  walked as built, not copied, and ``first`` reads one row slot per symbol;
-- left (substring ``reverse(t) + known``): the start positions of
-  ``known``, one slice compare each; ``first`` looks up each symbol among
-  the symbols just before them;
-- prefix (``known + t``): one slice compare at ``len(known)``; ``first``
-  compares each symbol with the one symbol there.
-
-Any other object (a wrapper, or a subclass that overrides the query methods)
-gets the one full-query cursor, which builds each full query as new
-``bytes`` and passes it to ``contains_substring`` or ``is_prefix``, one at
-a time and in order, ``first`` included: the object sees every query and
-may keep it, say as a dict key.
 """
 from __future__ import annotations
 
@@ -52,14 +20,6 @@ class QueryStats:
     prefix_queries: int = 0
     total_queried_symbols: int = 0
     max_query_length: int = 0
-
-    def snapshot(self) -> "QueryStats":
-        return QueryStats(
-            self.substring_queries,
-            self.prefix_queries,
-            self.total_queried_symbols,
-            self.max_query_length,
-        )
 
     @property
     def total_queries(self) -> int:
@@ -112,7 +72,7 @@ class Oracle:
         return self._hidden.startswith(q)
 
     def stats(self) -> QueryStats:
-        return self._stats.snapshot()
+        return QueryStats(**vars(self._stats))
 
 
 class _Right:
@@ -291,13 +251,22 @@ _NATIVE = {"right": _Right, "left": _Left, "prefix": _Prefix}
 
 
 def cursor(o, side: str, known: bytes = b""):
-    """A cursor over `o` holding `known`, for side "right" (substring
-    queries known + t), "left" (substring queries reverse(t) + known) or
-    "prefix" (prefix queries known + t).
+    """A cursor over `o` holding the verified string `known`, for side
+    "right" (substring queries known + t), "left" (substring queries
+    reverse(t) + known) or "prefix" (prefix queries known + t).
 
-    Only an object whose class is exactly Oracle gets a native cursor; any
-    other object is asked each full query, as new bytes, through its
-    contains_substring or is_prefix, with the same answers and counts.
+    ``probe(t)`` is one query of ``len(known) + len(t)`` symbols.
+    ``first(symbols)`` asks the one-symbol probes of ``symbols`` in order and
+    returns the index of the first true one, or -1, charging one query of
+    ``len(known) + 1`` symbols per symbol tried. ``advance(t)`` extends
+    known and asks nothing; ``result()`` returns known.
+
+    Only an object whose class is exactly Oracle gets a native cursor, which
+    keeps the match state of known: a probe takes time linear in t, ``first``
+    linear in ``symbols``. Any other object (a wrapper, or a subclass that
+    overrides the query methods) is asked each full query as new bytes, in
+    order and ``first`` included, through its contains_substring or
+    is_prefix, with the same answers and counts, and may keep it.
     """
     if side not in _NATIVE:
         raise ValueError(f"unknown cursor side {side!r}; expected one of {', '.join(_NATIVE)}")

@@ -1,22 +1,7 @@
 """Reconstruction of a hidden string from substring/prefix membership queries.
 
-Four strategies, all exact:
-
-- naive: one symbol at a time.
-- rle: one maximal run at a time; run lengths found by exponential search.
-- lz-substring: one LZ77-style phrase at a time; each phrase is the longest
-  known substring that still extends the known string, found by searching
-  the centroid decomposition of a snapshot of the suffix tree built
-  (online) over the known string, taken each time it doubles.
-- lz-prefix: the same phrase machinery against a prefix oracle, forward only.
-
-Each strategy is a grow loop over an extension model, which is an oracle
-cursor (`oracle.cursor`): a "right" or "prefix" cursor appends to the known
-string, a "left" cursor prepends to it (substring queries, in reversed
-orientation). No other code here builds queries or calls the oracle. One
-driver, `_drive`, runs every strategy as one phase per cursor side: "right"
-until stuck, then "left", for naive, rle and lz-substring; "prefix" alone
-for lz-prefix.
+Every strategy is a grow loop that asks only through oracle cursors
+(`oracle.cursor`), run by `_drive` once per cursor side.
 
 Forward-stuck soundness: if R occurs in the hidden string S and no
 single-symbol right extension of R occurs, then every occurrence of R is a
@@ -63,13 +48,6 @@ class ReconstructionReport:
     algorithm: str
     phrases_emitted: int = 0
     extras: dict = field(default_factory=dict)
-
-
-def _check_sigma(o, sigma: int) -> None:
-    """Fail before any query when symbols of the hidden string lie above sigma
-    (the reconstructors would never probe them and return a wrong string)."""
-    if sigma < o.sigma:
-        raise ValueError(f"sigma {sigma} is below the oracle's alphabet size {o.sigma}")
 
 
 def _max_true(pred, cap: int | None = None) -> int:
@@ -248,7 +226,10 @@ def _drive(o, sigma: int, sides: tuple[str, ...], grow, algorithm: str, unit: st
     grow(sigma, model, seed) -> steps extends the model until nothing
     extends it; `seed` is the model's known string in model orientation.
     """
-    _check_sigma(o, sigma)
+    # symbols above sigma are never probed: fail before any query rather than
+    # return a wrong string
+    if sigma < o.sigma:
+        raise ValueError(f"sigma {sigma} is below the oracle's alphabet size {o.sigma}")
     known = b""
     phases = []
     for side in sides:

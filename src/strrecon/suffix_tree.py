@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .text import Text, to_letters
+from .text import Text
 
 # The child map of every leaf: empty, shared and read-only.
 _LEAF_KIDS = MappingProxyType({})
@@ -234,18 +234,3 @@ class SuffixTree:
         depth = [n - f if e < 0 else d for d, f, e in zip(self._depth, self._first, self._end)]
         children = [list(kids.values()) if kids else () for kids in self._children]
         return TreeSnapshot(bytes(self.text), depth, self._parent[:], children, self._first[:])
-
-    def dump(self) -> str:
-        """Indented text rendering: node id, interval, spelled label."""
-        lines: list[str] = []
-        # preorder with an explicit stack: a tree can be as deep as its text
-        stack = [(0, 0)]
-        while stack:
-            vid, indent = stack.pop()
-            i, j = self.locus_interval(vid)
-            loc = self.locus(vid)
-            label = to_letters(loc) if self.sigma <= 26 else repr(loc)
-            lines.append(f"{'  ' * indent}#{vid} [{i},{j}] {label}")
-            kids = self._children[vid]
-            stack.extend((kids[sym], indent + 1) for sym in sorted(kids, reverse=True))
-        return "\n".join(lines)

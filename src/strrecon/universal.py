@@ -18,6 +18,7 @@ observes; replaying those answers reproduces the string.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Protocol, Sequence
 from weakref import WeakKeyDictionary
@@ -175,19 +176,13 @@ class _Universe:
         return hit
 
 
-_universe_cache: dict[int, _Universe] = {}
+# One _Universe per n, kept for the life of the process.
+_universe = functools.cache(_Universe)
 # Per-compressor tables, keyed by the compressor object (not its name: two
 # compressors may share one) and freed with it: by n, the code lengths of
 # the 2^n strings, their maximum and the candidate masks by k.
 _CodeTable = tuple[list[int], int, dict[int, int]]
 _code_tables: WeakKeyDictionary[Compressor, dict[int, _CodeTable]] = WeakKeyDictionary()
-
-
-def _universe(n: int) -> _Universe:
-    u = _universe_cache.get(n)
-    if u is None:
-        u = _universe_cache[n] = _Universe(n)
-    return u
 
 
 def _code_table(c: Compressor, n: int) -> _CodeTable:
@@ -288,27 +283,22 @@ def reconstruct_universal(o, n: int, c: Compressor) -> ReconstructionReport:
                 m, size = kept, kept_size
             else:
                 m, size = m & ~qmask, size - kept_size
-        found = None
         while m:
             i = (m & -m).bit_length() - 1
-            cand = uni.strings[i]
-            if contains(cand):  # length-n substring query == equality test
-                found = cand
-                break
+            if contains(uni.strings[i]):  # length-n substring query == equality test
+                return ReconstructionReport(
+                    recovered=Text(uni.strings[i], 2),
+                    stats=o.stats(),
+                    phases=[Phase("forward", len(split_log), "splits")],
+                    algorithm=f"universal-{c.name}",
+                    extras={
+                        "tau": tau,
+                        "rounds": rounds,
+                        "code_length": code_len[i],
+                        "split_log": split_log,
+                    },
+                )
             m &= m - 1
-        if found is not None:
-            return ReconstructionReport(
-                recovered=Text(found, 2),
-                stats=o.stats(),
-                phases=[Phase("forward", len(split_log), "splits")],
-                algorithm=f"universal-{c.name}",
-                extras={
-                    "tau": tau,
-                    "rounds": rounds,
-                    "code_length": code_len[(m & -m).bit_length() - 1],
-                    "split_log": split_log,
-                },
-            )
         if tau >= max_k:
             raise ReconstructionError(
                 f"no length-{n} candidate verified even with the full code "
@@ -371,10 +361,10 @@ class ReconstructorCodec:
 
     __slots__ = ("algo", "sigma", "name", "__weakref__")
 
-    def __init__(self, algo, sigma: int, name: str | None = None):
+    def __init__(self, algo, sigma: int):
         self.algo = algo
         self.sigma = sigma
-        self.name = name or f"replay-{getattr(algo, '__name__', 'algo')}"
+        self.name = f"replay-{getattr(algo, '__name__', 'algo')}"
 
     def compress(self, t: Text) -> tuple[int, ...]:
         rec = _RecordingOracle(Oracle(Text(t.symbols, self.sigma)))

@@ -2,7 +2,7 @@
 recorded in perfbench/README.md: a change that asks any other query, gets
 any other answer or asks in any other order anywhere in the benchmark
 fails here. Each workload's digest pass runs in its own interpreter, as
-`python3 perfbench/sweep.py digest <workload> 0`."""
+`python3 perfbench/sweep.py digest <workload> 0`; the four start at once."""
 from __future__ import annotations
 
 import json
@@ -24,16 +24,34 @@ def recorded_digests() -> dict[str, str]:
     return dict(re.findall(r"^\| `([\w-]+)` \| `([0-9a-f]{64})` \|$", section, re.M))
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_seed0_digest_matches_the_readme(workload):
-    expected = recorded_digests()[workload]
+@pytest.fixture(scope="module")
+def digest_passes():
+    """One running `sweep.py digest <workload> 0` process per workload, all
+    started at once; any still running at teardown is killed and reaped."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "sweep.py"), "digest", workload, "0"],
-        capture_output=True, text=True, cwd=ROOT, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    procs = {
+        workload: subprocess.Popen(
+            [sys.executable, str(ROOT / "perfbench" / "sweep.py"), "digest", workload, "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=ROOT, env=env,
+        )
+        for workload in WORKLOADS
+    }
+    try:
+        yield procs
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate()
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_seed0_digest_matches_the_readme(workload, digest_passes):
+    expected = recorded_digests()[workload]
+    proc = digest_passes[workload]
+    stdout, stderr = proc.communicate(timeout=300)
+    assert proc.returncode == 0, stderr
+    result = json.loads(stdout.splitlines()[-1])
     assert result["failures"] == []
     assert result["digest"] == expected

@@ -1,6 +1,7 @@
 """String family generators, the CSV/sweep formats, and the CLI."""
 from __future__ import annotations
 
+import csv
 import io
 import math
 import re
@@ -15,11 +16,10 @@ from strrecon import (
     Text,
     generate,
     measure,
-    parse_csv,
     parse_sweep,
     to_letters,
 )
-from strrecon.bench import TABLE, emit_csv, run_experiments, run_one
+from strrecon.bench import CSV_HEADER, TABLE, emit_csv, run_experiments, run_one
 from strrecon.cli import main
 from strrecon.families import FAMILIES
 
@@ -86,17 +86,27 @@ def test_unknown_family_and_bad_n():
 
 # ----------------------------------------------------------------- csv/sweep
 
+def read_csv(text: str) -> list[dict[str, str]]:
+    return list(csv.DictReader(io.StringIO(text)))
+
+
 def test_csv_round_trip():
     rows = [
         run_one("naive", generate("random", 30, 2, seed=0), family="random"),
         run_one("rle", generate("unary", 30, 2, seed=0), family="unary"),
     ]
     text = emit_csv(rows)
-    assert parse_csv(text) == rows
-    with pytest.raises(ValueError):
-        parse_csv("bogus header\n1,2,3\n")
-    with pytest.raises(ValueError):
-        parse_csv(text.splitlines()[0] + "\n1,2\n")
+    assert text.splitlines()[0] == CSV_HEADER == (
+        "algo,family,n,sigma,rle,z,z_no,phrases,sub_q,pre_q,sym_total,ms,exact,bound_ok")
+    read = read_csv(text)
+    assert len(read) == len(rows)
+    for row, cells in zip(rows, read):
+        for name, cell in cells.items():
+            value = getattr(row, name)
+            if isinstance(value, bool):
+                assert cell == ("1" if value else "0"), name
+            else:
+                assert cell == str(value), name
 
 
 def test_parse_sweep_cartesian_product():
@@ -129,9 +139,17 @@ def test_parse_sweep_errors():
      ("algo=naive family=random,nope n=10", "line 2: unknown family 'nope'"),
      ("algo=naive family=fibonacci n=10 sigma=3", "line 2: fibonacci strings are binary"),
      ("algo=naive family=random,thue-morse n=10 sigma=2,4", "line 2: thue-morse strings are binary"),
-     ("algo=naive family=random n=10,0", "line 2: n must be >= 1")],
+     ("algo=naive family=random n=10,0", "line 2: n must be >= 1"),
+     ("algo=naive family=random n=10 seed=x", "line 2: invalid literal for int()"),
+     ("algo=naive family=random n=10 repeat=0",
+      "line 2: repeat must be one integer >= 1, got '0'"),
+     ("algo=naive family=random n=10 repeat=x",
+      "line 2: repeat must be one integer >= 1, got 'x'"),
+     ("algo=naive family=random n=10 repeat=2,3",
+      "line 2: repeat must be one integer >= 1, got '2,3'")],
     ids=["unknown-algo", "universal-over-cap", "universal-nonbinary", "unknown-family",
-         "fibonacci-sigma", "thue-morse-sigma", "n-zero"],
+         "fibonacci-sigma", "thue-morse-sigma", "n-zero", "seed-not-int", "repeat-zero",
+         "repeat-not-int", "repeat-list"],
 )
 def test_parse_sweep_rejects_a_bad_group_before_running(bad, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -140,11 +158,16 @@ def test_parse_sweep_rejects_a_bad_group_before_running(bad, message):
 
 def test_cli_bench_rejects_a_bad_group_before_running(tmp_path, capsys):
     sweep = tmp_path / "sweep.txt"
-    sweep.write_text("algo=naive family=random n=25\nalgo=nope family=random n=25\n")
-    with pytest.raises(ValueError, match="line 2"):
-        main(["bench", "--sweep", str(sweep)])
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == ""
+    for bad, message in [("algo=nope family=random n=25", "unknown algo 'nope'"),
+                         ("algo=naive family=bogus n=25", "unknown family 'bogus'"),
+                         ("algo=naive family=random n=25 repeat=0", "repeat must be")]:
+        sweep.write_text("algo=naive family=random n=25\n" + bad + "\n")
+        with pytest.raises(SystemExit, match=f"^sweep line 2: {re.escape(message)}"):
+            main(["bench", "--sweep", str(sweep)])
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == ""
+    with pytest.raises(SystemExit, match="No such file"):
+        main(["bench", "--sweep", str(tmp_path / "missing.txt")])
 
 
 def test_readme_algorithm_table_matches_the_bounds():
@@ -210,13 +233,21 @@ def test_cli_measure_empty_file(tmp_path):
         main(["measure", str(p)])
 
 
+def test_cli_measure_rejects_bad_input(tmp_path):
+    with pytest.raises(SystemExit, match="^unknown family 'bogus'"):
+        main(["measure", "--family", "bogus", "--n", "5"])
+    with pytest.raises(SystemExit, match="No such file"):
+        main(["measure", str(tmp_path / "missing.bin")])
+
+
 def test_cli_reconstruct(capsys):
     rc = main(["reconstruct", "--algo", "rle", "--family", "periodic",
                "--n", "50", "--sigma", "3"])
     out = capsys.readouterr().out
     assert rc == 0
-    rows = parse_csv(out)
-    assert rows[0].algo == "rle" and rows[0].exact and rows[0].bound_ok
+    rows = read_csv(out)
+    assert len(rows) == 1
+    assert rows[0]["algo"] == "rle" and rows[0]["exact"] == rows[0]["bound_ok"] == "1"
 
 
 def test_cli_universal(capsys):
@@ -224,8 +255,9 @@ def test_cli_universal(capsys):
                "--n", "12", "--sigma", "2"])
     out = capsys.readouterr().out
     assert rc == 0
-    rows = parse_csv(out)
-    assert rows[0].algo == "universal-rle-bits" and rows[0].exact
+    rows = read_csv(out)
+    assert len(rows) == 1
+    assert rows[0]["algo"] == "universal-rle-bits" and rows[0]["exact"] == "1"
 
 
 def test_cli_universal_rejects_nonbinary():
@@ -253,9 +285,10 @@ def test_cli_bench(tmp_path, capsys):
     rc = main(["bench", "--sweep", str(sweep)])
     captured = capsys.readouterr()
     assert rc == 0
-    rows = parse_csv(captured.out)
+    rows = read_csv(captured.out)
     assert len(rows) == 4
-    assert all(r.exact and r.bound_ok for r in rows)
+    assert [r["algo"] for r in rows] == ["naive", "naive", "rle", "rle"]
+    assert all(r["exact"] == r["bound_ok"] == "1" for r in rows)
 
 
 def test_cli_requires_input():

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strrecon import SuffixTree, from_letters, to_letters
+from strrecon import SuffixTree, from_letters
 from strrecon.suffix_tree import _LEAF_KIDS
 
 
@@ -130,23 +130,19 @@ def test_root_interval_and_empty_tree():
     assert tree.locus_interval(0) == (1, 0)
 
 
-def test_dump_renders_every_node():
-    tree = SuffixTree(2)
-    tree.extend(b"\x01\x02\x01")
-    out = tree.dump()
-    assert out.splitlines()[0].startswith("#0 [1,0]")
-    assert len(out.splitlines()) == tree.node_count
-    assert "aba" in out
-
-
-def test_dump_of_a_deep_tree():
+def test_loci_of_a_deep_tree():
     # a^1500 b: internal nodes a, aa, ..., a^1499 form a chain 1500 levels deep
-    tree = build(bytes([1] * 1500 + [2]), 2)
-    lines = tree.dump().splitlines()
-    assert tree.node_count == len(lines) == 3001
-    assert lines[0].startswith("#0 [1,0]")
-    assert max(len(line) - len(line.lstrip(" ")) for line in lines) == 2 * 1500
-    assert lines[-1].lstrip(" ").startswith(f"#{tree.node_count - 1} [1501,1501] b")
+    text = bytes([1] * 1500 + [2])
+    tree = build(text, 2)
+    assert tree.node_count == 3001
+    internal = set()
+    for v in range(tree.node_count):
+        i, j = tree.locus_interval(v)
+        loc = tree.locus(v)
+        assert loc == text[i - 1 : j] and text.find(loc) == i - 1, v
+        if v and not tree.is_leaf(v):
+            internal.add(loc)
+    assert internal == {b"\x01" * k for k in range(1, 1500)}
 
 
 @given(strings)
