@@ -2,9 +2,9 @@
 
 Transitions are stored once, as one ``array("i")`` row per state indexed by
 symbol value; every row is ``max(data) + 1`` slots wide, and 0 means "no
-transition" (the root is never a target). The per-state suffix links and
-lengths, and the end positions of first occurrences, are ``array("i")``
-columns as well.
+transition" (the root is never a target). Besides the rows, a build keeps one
+``array("i")`` column, filled as it builds: the end position of each state's
+first occurrence.
 
 One build serves every reader of the same string: :mod:`strrecon.measures`,
 which also needs, for every substring, the end position of its first
@@ -32,7 +32,7 @@ class SuffixAutomaton:
         # no lock: a build never changes after __init__, so a racing build
         # that replaces _last leaves `last` whole and correct for its string
         last = cls._last
-        if last is not None and (data is last.data or data == last.data):
+        if last is not None and data == last.data:
             return last
         return cls(data)
 
@@ -41,15 +41,17 @@ class SuffixAutomaton:
         data = bytes(data)
         empty = array("i", [0]) * (max(data, default=0) + 1)
         nxt = [empty[:]]
+        # suffix links, lengths and first-occurrence ends; only the last is kept
         link = [-1]
         length = [0]
-        clones = []  # every other state v ends its first occurrence at length[v] - 1
+        first = [0]
         last = 0
         for pos, c in enumerate(data):
             cur = len(nxt)
             nxt.append(empty[:])
             link.append(0)
             length.append(pos + 1)
+            first.append(pos)  # a new state first ends here
             p = last
             while p >= 0 and not nxt[p][c]:
                 nxt[p][c] = cur
@@ -63,7 +65,7 @@ class SuffixAutomaton:
                     nxt.append(nxt[q][:])
                     link.append(link[q])
                     length.append(length[p] + 1)
-                    clones.append(clone)
+                    first.append(first[q])  # a clone first ends where q does
                     while p >= 0 and nxt[p][c] == q:
                         nxt[p][c] = clone
                         p = link[p]
@@ -71,31 +73,10 @@ class SuffixAutomaton:
             last = cur
         self.data = data
         self.next: list[array] = nxt
-        # the columns grow as lists, which are faster to append to and to
-        # index; each is dropped as soon as its compact copy exists
-        self.link = array("i", link)
-        del link
-        self.length = array("i", length)
-        del length
-        self._clones = array("i", clones)
-        self._min_end: array | None = None
+        self._min_end = array("i", first)
         SuffixAutomaton._last = self
 
     def finalize_min_end(self) -> array:
-        """For each state, the minimum end position over all its occurrences."""
-        if self._min_end is not None:
-            return self._min_end
-        # a state created at position i ends there; the root and the clones
-        # start at len(data), above every position, and receive their minimum
-        me = [l - 1 for l in self.length]
-        me[0] = len(self.data)
-        for v in self._clones:
-            me[v] = len(self.data)
-        order = sorted(range(1, len(me)), key=self.length.__getitem__, reverse=True)
-        link = self.link
-        for v in order:
-            p = link[v]
-            if me[v] < me[p]:
-                me[p] = me[v]
-        self._min_end = array("i", me)
+        """For each state, the minimum end position over all its occurrences:
+        the column the build filled; this computes nothing."""
         return self._min_end

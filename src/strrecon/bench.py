@@ -198,6 +198,8 @@ def parse_sweep(textio) -> list[dict]:
             key, value = token.split("=", 1)
             if key not in ("algo", "family", "n", "sigma", "seed", "repeat"):
                 raise ValueError(f"sweep line {lineno}: unknown key {key!r}")
+            if key in opts:
+                raise ValueError(f"sweep line {lineno}: repeated key {key!r}")
             opts[key] = value.split(",")
         for missing in ("algo", "family", "n"):
             if missing not in opts:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import re
 
-from .text import Text
+from .text import MAX_SIGMA, Text
 
 _PLAIN = ("random", "unary", "periodic", "fibonacci", "thue-morse")
 FAMILIES = _PLAIN + ("runs(k)", "copy-paste(r)")
@@ -21,10 +21,13 @@ _PARAMETRIC_RE = re.compile(r"(runs|copy-paste)\((\d+)\)\Z")
 def check_args(family: str, n: int, sigma: int) -> tuple[str, int]:
     """(kind, parameter) of a family name: ("runs", k) for runs(k),
     ("copy-paste", r) for copy-paste(r), (family, 0) for the others.
-    Raises ValueError for arguments `generate` cannot serve: n below 1, an
-    unknown name, a parameter below 1, or a binary family with sigma != 2."""
+    Raises ValueError for arguments `generate` cannot serve: n below 1, sigma
+    outside [1, MAX_SIGMA], an unknown name, a parameter below 1, or a binary
+    family with sigma != 2."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 1 <= sigma <= MAX_SIGMA:
+        raise ValueError(f"sigma must be in [1, {MAX_SIGMA}], got {sigma}")
     m = _PARAMETRIC_RE.match(family)
     if m and int(m.group(2)) >= 1:
         return m.group(1), int(m.group(2))
@@ -42,7 +45,7 @@ def generate(family: str, n: int, sigma: int, seed: int = 0) -> Text:
         rng = random.Random(seed)
         return Text(bytes(rng.choices(range(1, sigma + 1), k=n)), sigma)
     if kind == "unary":
-        return Text(b"\x01" * n, max(1, sigma))
+        return Text(b"\x01" * n, sigma)
     if kind == "periodic":
         block = bytes((i % sigma) + 1 for i in range(max(2, sigma)))
         reps = -(-n // len(block))

@@ -39,27 +39,26 @@ def endpos(s: bytes, u: bytes) -> frozenset[int]:
 
 def check_against_brute_force(s: bytes) -> None:
     """State count, row width, walks of every string of length <= 4 over the
-    symbols of s plus 0 and max(s) + 1, and one state per endpos class."""
+    symbols of s plus 0 and max(s) + 1, one state per endpos class, and the
+    first-occurrence end of every state."""
     sam = SuffixAutomaton(s)
-    states = len(sam.length)
-    assert len(sam.next) == len(sam.link) == states <= 2 * len(s) - 1
+    states = len(sam.next)
+    assert states <= 2 * len(s) - 1
     assert {len(row) for row in sam.next} == {max(s) + 1}
     substrings = {s[i:j] for i in range(len(s)) for j in range(i + 1, len(s) + 1)}
     # one state per endpos class, plus the root
     assert states == 1 + len({endpos(s, u) for u in substrings})
-    min_end = sam.finalize_min_end()
     probe_symbols = sorted(set(s) | {0, max(s) + 1})
     for k in range(1, 5):
         for t in map(bytes, itertools.product(probe_symbols, repeat=k)):
             state = walk(sam, t)
-            if t in substrings:
-                assert state is not None and min_end[state] == min(endpos(s, t))
-            else:
-                assert state is None
+            assert (state is not None) == (t in substrings)
+    min_end = sam.finalize_min_end()
     classes: dict[int, frozenset[int]] = {}
     for u in substrings:
         state = walk(sam, u)
         assert state is not None and classes.setdefault(state, endpos(s, u)) == endpos(s, u)
+        assert min_end[state] == min(endpos(s, u))
 
 
 @pytest.mark.parametrize("alphabet", [(1, 3), (2, 5, 9), (1,), (4, 254)], ids=str)

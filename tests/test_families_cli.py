@@ -146,10 +146,13 @@ def test_parse_sweep_errors():
      ("algo=naive family=random n=10 repeat=x",
       "line 2: repeat must be one integer >= 1, got 'x'"),
      ("algo=naive family=random n=10 repeat=2,3",
-      "line 2: repeat must be one integer >= 1, got '2,3'")],
+      "line 2: repeat must be one integer >= 1, got '2,3'"),
+     ("algo=naive family=random n=10 sigma=0", "line 2: sigma must be in [1, 255], got 0"),
+     ("algo=naive family=unary n=10 sigma=256", "line 2: sigma must be in [1, 255], got 256"),
+     ("algo=naive family=random n=10 n=20", "line 2: repeated key 'n'")],
     ids=["unknown-algo", "universal-over-cap", "universal-nonbinary", "unknown-family",
          "fibonacci-sigma", "thue-morse-sigma", "n-zero", "seed-not-int", "repeat-zero",
-         "repeat-not-int", "repeat-list"],
+         "repeat-not-int", "repeat-list", "sigma-zero", "sigma-over-cap", "repeated-key"],
 )
 def test_parse_sweep_rejects_a_bad_group_before_running(bad, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -160,7 +163,10 @@ def test_cli_bench_rejects_a_bad_group_before_running(tmp_path, capsys):
     sweep = tmp_path / "sweep.txt"
     for bad, message in [("algo=nope family=random n=25", "unknown algo 'nope'"),
                          ("algo=naive family=bogus n=25", "unknown family 'bogus'"),
-                         ("algo=naive family=random n=25 repeat=0", "repeat must be")]:
+                         ("algo=naive family=random n=25 repeat=0", "repeat must be"),
+                         ("algo=naive family=random n=25 sigma=0", "sigma must be in"),
+                         ("algo=naive family=random n=25 sigma=256", "sigma must be in"),
+                         ("algo=naive family=random n=25 n=30", "repeated key 'n'")]:
         sweep.write_text("algo=naive family=random n=25\n" + bad + "\n")
         with pytest.raises(SystemExit, match=f"^sweep line 2: {re.escape(message)}"):
             main(["bench", "--sweep", str(sweep)])
@@ -236,6 +242,9 @@ def test_cli_measure_empty_file(tmp_path):
 def test_cli_measure_rejects_bad_input(tmp_path):
     with pytest.raises(SystemExit, match="^unknown family 'bogus'"):
         main(["measure", "--family", "bogus", "--n", "5"])
+    for family in ("random", "periodic"):
+        with pytest.raises(SystemExit, match=r"^sigma must be in \[1, 255\], got 0$"):
+            main(["measure", "--family", family, "--n", "5", "--sigma", "0"])
     with pytest.raises(SystemExit, match="No such file"):
         main(["measure", str(tmp_path / "missing.bin")])
 
