@@ -22,16 +22,18 @@ from .text import Text, from_raw_bytes
 
 
 def _load_text(args) -> tuple[Text, str]:
-    """(string, family tag) from --file or --family options."""
-    if getattr(args, "file", None):
+    """(string, family tag) from a file or from the --family options."""
+    if args.file and args.family:
+        raise ValueError("give either a file or --family, not both")
+    if args.file:
         with open(args.file, "rb") as fh:
             data = fh.read()
         if not data:
-            raise SystemExit(f"{args.file}: empty input")
+            raise ValueError(f"{args.file}: empty input")
         return from_raw_bytes(data), "file"
-    if getattr(args, "family", None):
+    if args.family:
         return generate(args.family, args.n, args.sigma, args.seed), args.family
-    raise SystemExit("need either a file argument or --family")
+    raise ValueError("need either a file argument or --family")
 
 
 def _add_input_options(sub, positional_file: bool = False) -> None:

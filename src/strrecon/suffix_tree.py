@@ -1,20 +1,23 @@
 """Online (Ukkonen) suffix tree over an append-only text.
 
 No terminal sentinel is ever appended: the tree is the implicit suffix tree,
-so suffixes that are proper prefixes of other suffixes have no leaf. Edge
-labels are position intervals into the shared text.
+so suffixes that are proper prefixes of other suffixes have no leaf.
 
-The live tree is kept in flat per-node lists indexed by node id (creation
-order, root 0); `extend` appends a new node's entries inline, one bound
+The live tree is kept in five flat per-node lists indexed by node id
+(creation order, root 0): parent, string depth, first occurrence, child map
+and suffix link; `extend` appends a new node's entries inline, one bound
 `append` per list. Ukkonen's algorithm creates leaves in increasing order of
 suffix start and never removes one, so the oldest leaf below a node marks the
 first occurrence of its locus; a split node takes it over from the child it
-splits, and a snapshot is a plain copy of the lists.
+splits, and a snapshot is a plain copy of the lists. Edge labels are not
+stored: the edge into v is text[first[v] + depth[parent[v]] : first[v] +
+depth[v]], running to the end of the text at a leaf, because first[v] starts
+an occurrence of locus(v).
 
 Ukkonen's algorithm never hangs a child under a leaf, so every leaf shares one
-read-only empty child map (`_LEAF_KIDS`): a leaf costs no dict, and a write to
-it would raise rather than corrupt the tree. Snapshots likewise give every
-leaf one shared empty tuple.
+read-only empty child map (`_LEAF_KIDS`), and that map is the only leaf
+marker: a leaf costs no dict, and a write to it would raise rather than
+corrupt the tree. Snapshots likewise give every leaf one shared empty tuple.
 """
 from __future__ import annotations
 
@@ -69,8 +72,6 @@ class SuffixTree:
             raise ValueError("sigma must be >= 1")
         self.sigma = sigma
         self.text = bytearray()
-        self._start = [0]        # edge label = text[start:end]
-        self._end = [0]          # -1 = open leaf edge, growing with the text
         self._parent = [-1]
         self._depth = [0]        # string depth; unused for leaves (see string_depth)
         self._first = [0]        # start of the first occurrence of the locus
@@ -86,7 +87,7 @@ class SuffixTree:
 
     @property
     def node_count(self) -> int:
-        return len(self._start)
+        return len(self._parent)
 
     def append(self, c: int) -> None:
         """Add one symbol; the tree then represents all suffixes of text+c."""
@@ -98,12 +99,12 @@ class SuffixTree:
         if chunk and not (min(chunk) >= 1 and max(chunk) <= self.sigma):
             raise ValueError(f"symbols {min(chunk)}..{max(chunk)} out of range [1..{self.sigma}]")
         text = self.text
-        start, end, parent, depth = self._start, self._end, self._parent, self._depth
-        first, children, slink = self._first, self._children, self._slink
-        add_start, add_end, add_parent, add_depth = start.append, end.append, parent.append, depth.append
-        add_first, add_kids, add_slink = first.append, children.append, slink.append
+        parent, depth, first = self._parent, self._depth, self._first
+        children, slink = self._children, self._slink
+        add_parent, add_depth, add_first = parent.append, depth.append, first.append
+        add_kids, add_slink = children.append, slink.append
         leaf_kids = _LEAF_KIDS
-        nodes = len(start)  # id of the next node
+        nodes = len(parent)  # id of the next node
         active_node, active_edge, active_len = self._active_node, self._active_edge, self._active_len
         remainder = self._remainder
         for c in chunk:
@@ -119,8 +120,6 @@ class SuffixTree:
                 child = children[node].get(a_sym)
                 if child is None:
                     children[node][a_sym] = nodes
-                    add_start(pos)
-                    add_end(-1)
                     add_parent(node)
                     add_depth(0)
                     add_first(pos - depth[node])
@@ -131,9 +130,9 @@ class SuffixTree:
                         slink[last_internal] = node
                         last_internal = 0
                 else:
-                    cs = start[child]
-                    e = end[child]
-                    edge_len = (e if e >= 0 else pos + 1) - cs
+                    dn = depth[node]
+                    cs = first[child] + dn  # the edge into child starts here
+                    edge_len = pos + 1 - cs if children[child] is leaf_kids else depth[child] - dn
                     if active_len >= edge_len:
                         active_edge += edge_len
                         active_len -= edge_len
@@ -146,24 +145,19 @@ class SuffixTree:
                         break
                     # node `split` on the edge into child, then its new leaf
                     split = nodes
-                    split_depth = depth[node] + active_len
+                    split_depth = dn + active_len
                     children[node][a_sym] = split
-                    add_start(cs)
-                    add_end(cs + active_len)
                     add_parent(node)
                     add_depth(split_depth)
                     add_first(first[child])
                     add_kids({c: split + 1, text[cs + active_len]: child})
                     add_slink(0)
-                    add_start(pos)
-                    add_end(-1)
                     add_parent(split)
                     add_depth(0)
                     add_first(pos - split_depth)
                     add_kids(leaf_kids)
                     add_slink(0)
                     nodes += 2
-                    start[child] = cs + active_len
                     parent[child] = split
                     if last_internal:
                         slink[last_internal] = split
@@ -178,7 +172,7 @@ class SuffixTree:
         self._remainder = remainder
 
     def is_leaf(self, v: int) -> bool:
-        return self._end[v] < 0
+        return self._children[v] is _LEAF_KIDS
 
     def string_depth(self, v: int) -> int:
         if self.is_leaf(v):
@@ -187,31 +181,22 @@ class SuffixTree:
 
     def contains(self, q) -> bool:
         """Substring membership by edge traversal."""
-        if isinstance(q, Text):
-            q = q.symbols
-        text = self.text
-        node = 0
-        i = 0
-        m = len(q)
-        while i < m:
-            child = self._children[node].get(q[i])
+        q = bytes(q.symbols if isinstance(q, Text) else q)
+        text, first, m = self.text, self._first, len(q)
+        node = d = 0  # q[:d] == locus(node)
+        while d < m:
+            child = self._children[node].get(q[d])
             if child is None:
                 return False
-            end = self._end[child]
-            if end < 0:
-                end = len(text)
-            j = self._start[child]
-            while j < end and i < m:
-                if text[j] != q[i]:
-                    return False
-                i += 1
-                j += 1
-            node = child
+            f, e = first[child], min(self.string_depth(child), m)
+            if text[f + d : f + e] != q[d:e]:
+                return False
+            node, d = child, e
         return True
 
     def leaf_suffix_starts(self) -> list[int]:
         """Start positions of suffixes that have an explicit leaf."""
-        return sorted(f for f, e in zip(self._first, self._end) if e < 0)
+        return sorted(f for f, kids in zip(self._first, self._children) if kids is _LEAF_KIDS)
 
     def locus_interval(self, node_id: int) -> tuple[int, int]:
         """1-based inclusive interval [i, j] such that text[i..j] spells
@@ -231,6 +216,8 @@ class SuffixTree:
     def snapshot(self) -> TreeSnapshot:
         """Copy the current tree into arrays indexed by node id."""
         n = len(self.text)
-        depth = [n - f if e < 0 else d for d, f, e in zip(self._depth, self._first, self._end)]
+        leaf = _LEAF_KIDS
+        depth = [n - f if kids is leaf else d
+                 for d, f, kids in zip(self._depth, self._first, self._children)]
         children = [list(kids.values()) if kids else () for kids in self._children]
         return TreeSnapshot(bytes(self.text), depth, self._parent[:], children, self._first[:])

@@ -43,6 +43,12 @@ class Compressor(Protocol):
     def decompress(self, bits: Sequence[int]) -> Text: ...
 
 
+def _check_bits(bits: Sequence[int]) -> None:
+    """The one check every decompress makes: a code holds only 0s and 1s."""
+    if not set(bits) <= {0, 1}:
+        raise ValueError("a code holds only the bits 0 and 1")
+
+
 class IdentityBits:
     """One bit per symbol; the incompressible baseline (binary only)."""
 
@@ -56,6 +62,7 @@ class IdentityBits:
     def decompress(self, bits: Sequence[int]) -> Text:
         if not bits:
             raise ValueError("empty code")
+        _check_bits(bits)
         return Text(bytes(b + 1 for b in bits), 2)
 
 
@@ -107,6 +114,7 @@ class RunLengthBits:
     def decompress(self, bits: Sequence[int]) -> Text:
         if not bits:
             raise ValueError("empty code")
+        _check_bits(bits)
         sym = bits[0] + 1
         pos = 1
         out = bytearray()
@@ -376,6 +384,7 @@ class ReconstructorCodec:
         return tuple(rec.bits)
 
     def decompress(self, bits: Sequence[int]) -> Text:
+        _check_bits(bits)
         replay = _ReplayOracle(bits, self.sigma)
         report = self.algo(replay, self.sigma)
         if replay.pos != len(bits):

@@ -247,6 +247,10 @@ def test_cli_measure_rejects_bad_input(tmp_path):
             main(["measure", "--family", family, "--n", "5", "--sigma", "0"])
     with pytest.raises(SystemExit, match="No such file"):
         main(["measure", str(tmp_path / "missing.bin")])
+    path = tmp_path / "input.bin"
+    path.write_bytes(b"abbabba")
+    with pytest.raises(SystemExit, match=r"^give either a file or --family, not both$"):
+        main(["measure", str(path), "--family", "fibonacci", "--n", "50"])
 
 
 def test_cli_reconstruct(capsys):
@@ -257,6 +261,14 @@ def test_cli_reconstruct(capsys):
     rows = read_csv(out)
     assert len(rows) == 1
     assert rows[0]["algo"] == "rle" and rows[0]["exact"] == rows[0]["bound_ok"] == "1"
+
+
+def test_cli_reconstruct_rejects_a_file_with_a_family(tmp_path, capsys):
+    path = tmp_path / "input.bin"
+    path.write_bytes(b"abbabba")
+    with pytest.raises(SystemExit, match=r"^give either a file or --family, not both$"):
+        main(["reconstruct", "--algo", "naive", "--file", str(path), "--family", "unary"])
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_universal(capsys):

@@ -180,12 +180,35 @@ def test_chunked_extension_matches_per_symbol_appends(s, cuts):
     assert bytes(chunked.text) == s
 
 
+@given(strings, st.lists(st.integers(min_value=0, max_value=9), max_size=12))
+@settings(max_examples=200)
+def test_edges_derive_from_first_occurrence_and_depth(s, cuts):
+    # no node stores its edge: the edge into v is text[first[v] +
+    # depth(parent) : first[v] + depth(v)], and it must be nonempty, begin
+    # with the symbol the parent files v under, and extend the parent's locus
+    tree = SuffixTree(3)
+    for k in cuts + [len(s)]:
+        tree.extend(s[len(tree) : len(tree) + k])
+        text = bytes(tree.text)
+        for v in range(1, tree.node_count):
+            p, f = tree._parent[v], tree._first[v]
+            edge = text[f + tree.string_depth(p) : f + tree.string_depth(v)]
+            assert edge
+            assert tree._children[p][edge[0]] == v
+            assert tree.locus(p) + edge == tree.locus(v)
+
+
 def check_leaves(tree: SuffixTree) -> None:
-    """Every leaf holds the shared empty child map, which stayed empty and
-    read-only, and no query runs on past a leaf's end."""
+    """The leaves are the nodes no node names as parent; they start exactly
+    the suffixes that occur once, each holds the shared empty child map,
+    which stayed empty and read-only, and no query runs on past a leaf."""
     text = bytes(tree.text)
-    leaves = [v for v in range(tree.node_count) if tree.is_leaf(v)]
+    leaves = set(range(tree.node_count)) - set(tree._parent)
     assert leaves
+    assert leaves == {v for v in range(tree.node_count) if tree.is_leaf(v)}
+    assert sorted(tree._first[v] for v in leaves) == [
+        i for i in range(len(text)) if text.find(text[i:]) == i
+    ]
     for v in leaves:
         assert tree._children[v] is _LEAF_KIDS
         for c in range(1, tree.sigma + 1):

@@ -114,6 +114,11 @@ def test_compressor_input_validation():
         RunLengthBits().decompress(())
     with pytest.raises(ValueError):
         RunLengthBits().decompress((1,))
+    # (0, 2) is no code: 00 is (0, 0, 1, 0), and (0, 2) used to decode to it
+    for comp in (IdentityBits(), RunLengthBits()):
+        for bits in ((0, 2), (1, 0, 1, -1), (2,)):
+            with pytest.raises(ValueError, match="only the bits 0 and 1"):
+                comp.decompress(bits)
 
 
 def test_elias_gamma_round_trip():
@@ -519,6 +524,15 @@ def test_codec_rejects_trailing_bits():
         codec.decompress(code + (0,))
     with pytest.raises(ValueError):
         codec.decompress(code[:-1])
+
+
+def test_codec_rejects_a_code_that_is_not_bits():
+    # a 2 in place of each 1 once replayed as the same "yes" answers
+    codec = compressor_from_reconstructor(reconstruct_naive, 2)
+    code = codec.compress(from_bits("0110"))
+    for bad in (tuple(2 * b for b in code), code[:-1] + (-1,)):
+        with pytest.raises(ValueError, match="only the bits 0 and 1"):
+            codec.decompress(bad)
 
 
 def test_codec_is_injective_on_binary_strings():
