@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
 
-from .centroid import CentroidTree, decompose
+from .centroid import CentroidTree
 from .oracle import QueryStats, cursor
 from .suffix_tree import SuffixTree, TreeSnapshot
 from .text import Text
@@ -72,9 +72,11 @@ def _max_true(pred, cap: int | None = None) -> int:
 
 
 def decompose_snapshot(snap: TreeSnapshot) -> CentroidTree:
-    """The centroid decomposition of one snapshot, as the LZ loop rebuilds it
-    (perfbench times this layer through this name)."""
-    return decompose(snap.children)
+    """The centroid decomposition of one snapshot, as the LZ loop rebuilds
+    it: validated and sized, with only its root placed; `_phrase_search`
+    places the rest as it enters it (perfbench times this layer through this
+    name)."""
+    return CentroidTree.of(snap.children)
 
 
 def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, probe) -> bytes:
@@ -84,10 +86,12 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, probe) -> bytes:
     Walks the centroid tree: at each visited node u, one query verifies
     locus(u); a verified node is left through the suffix-tree child whose
     first edge symbol still extends (<= sigma probes, ascending), an
-    unverified one through its suffix-tree parent's component. The deepest
-    verified node is then extended along at most one partial edge with an
-    exponential search. Each distinct t is asked at most once (one memo per
-    call); an empty result means every symbol in the snapshot was asked.
+    unverified one through its suffix-tree parent's component;
+    `ct.component_of` places a component's centroid the first time any
+    search enters it. The deepest verified node is then extended along at
+    most one partial edge with an exponential search. Each distinct t is
+    asked at most once (one memo per call); an empty result means every
+    symbol in the snapshot was asked.
     """
     memo: dict[bytes, bool] = {}
 
@@ -192,9 +196,12 @@ def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
     The suffix tree is read only through snapshots, so it is extended to
     the grown string only when a snapshot is due, with everything grown
     since the last one (Ukkonen's algorithm gives the same tree and node ids
-    however its input is chunked). Returns the number of phrases emitted;
-    the model holds the result. `records` collects (size, height, balanced)
-    per decomposition built, for diagnostics.
+    however its input is chunked). Each snapshot's centroid decomposition
+    is placed only where the phrase searches enter it. Returns the number of
+    phrases emitted; the model holds the result. `records` collects
+    (size, placed) per decomposition, for diagnostics: the snapshot's node
+    count and the centroids placed in it, appended once the next snapshot
+    replaces it or the phase ends.
     """
     st = SuffixTree(sigma)
     grown = bytearray(seed)  # the known string in model orientation
@@ -202,16 +209,19 @@ def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
     rebuild_at = 0  # the first pass always takes a snapshot
     for phrases in count():
         if len(grown) >= rebuild_at:
+            if phrases:  # record the previous decomposition; free it before the next snapshot
+                records.append((ct.size, ct.placed))
+                snap = ct = None
             st.extend(grown[len(st.text):])
             snap = st.snapshot()
             ct = decompose_snapshot(snap)
-            records.append((ct.size, ct.height, ct.balanced))
             rebuild_at = max(1, len(grown) * _REBUILD_FACTOR)
             fresh = symbols.translate(None, snap.text)
         phrase = _phrase_search(snap, ct, model.probe)
         if not phrase:
             i = model.first(fresh)
             if i < 0:
+                records.append((ct.size, ct.placed))
                 return phrases
             phrase = _SYMBOLS[fresh[i]]
         model.advance(phrase)

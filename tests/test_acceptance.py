@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass
 
 from strrecon import (
+    CentroidTree,
     Oracle,
     SuffixTree,
     Text,
@@ -32,6 +33,7 @@ from strrecon import (
     generate,
     lz77,
     measure,
+    reconstruct,
     reconstruct_universal,
 )
 from strrecon.bench import ALGORITHMS, COMPRESSORS, bound_holds
@@ -46,14 +48,32 @@ class RunRec:
     m: MeasureReport
     rep: ReconstructionReport
     exact: bool
+    decompositions: list[tuple[int, int, bool]]  # (size, height, balanced)
 
 
 _cache: dict[str, object] = {}
 
 
 def _run(algo: str, hidden: Text, family: str, m: MeasureReport) -> RunRec:
-    rep = ALGORITHMS[algo](Oracle(hidden), hidden.sigma)
-    return RunRec(algo, family, m, rep, rep.recovered.symbols == hidden.symbols)
+    """One run. The LZ loop places only the centroids its searches enter, so
+    every decomposition the run builds is captured through
+    `reconstruct.decompose_snapshot` (rebound for the run, as perfbench
+    does), completed once the run ends and kept as (size, height, balanced)
+    for criterion 9; the trees themselves die with the call."""
+    built: list[CentroidTree] = []
+    build = reconstruct.decompose_snapshot
+
+    def capture(snap):
+        built.append(build(snap))
+        return built[-1]
+
+    reconstruct.decompose_snapshot = capture
+    try:
+        rep = ALGORITHMS[algo](Oracle(hidden), hidden.sigma)
+    finally:
+        reconstruct.decompose_snapshot = build
+    decompositions = [(ct.size, ct.height, ct.balanced) for ct in map(CentroidTree.complete, built)]
+    return RunRec(algo, family, m, rep, rep.recovered.symbols == hidden.symbols, decompositions)
 
 
 def _small_scale() -> tuple[list[RunRec], float]:
@@ -247,7 +267,7 @@ def test_criterion_09_structure_oracles(capfd):
     records = []
     for recs, _ in (_small_scale(), _at_scale()):
         for r in recs:
-            records.extend(r.rep.extras.get("decompositions", ()))
+            records.extend(r.decompositions)
     cent_bad = sum(
         not balanced or height > math.floor(math.log2(size)) + 1
         for size, height, balanced in records

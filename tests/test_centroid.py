@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strrecon import SuffixTree, decompose, generate
+from strrecon import CentroidTree, SuffixTree, decompose, generate
 from strrecon.reconstruct import decompose_snapshot
 
 
@@ -104,6 +104,34 @@ def check_decomposition(kids: list[list[int]]) -> None:
     assert height <= math.floor(math.log2(m)) + 1
 
 
+def check_lazy_placement(kids: list[list[int]], rng: random.Random) -> None:
+    """Place components in a random order through the neighbour calls a
+    phrase search makes, each answer checked against the full
+    decomposition; then complete the tree and compare it field for field."""
+    m = len(kids)
+    up = [-1] * m
+    for v, ks in enumerate(kids):
+        for w in ks:
+            up[w] = v
+    full = decompose(kids)
+    ct = CentroidTree.of(kids)
+    reached = [ct.root]
+    for _ in range(min(2 * m, 300)):
+        u = rng.choice(reached)
+        near = [*kids[u], up[u]] if u else [*kids[u]]
+        if near:
+            got = ct.component_of(u, rng.choice(near))
+            if got is not None:
+                reached.append(got)
+        v = rng.choice(reached)
+        assert ct.component_of(u, v) == full.component_of(u, v)
+    placed = [v for v in range(m) if ct.depth[v] >= 0]
+    assert len(placed) == ct.placed
+    assert all((ct.parent[v], ct.depth[v]) == (full.parent[v], full.depth[v]) for v in placed)
+    assert ct.complete() == full
+    assert ct.placed == m
+
+
 def test_single_node():
     ct = decompose([[]])
     assert ct.root == 0 and ct.height == 1 and ct.balanced
@@ -168,6 +196,41 @@ def test_relabelled_random_trees_satisfy_all_invariants(m, seed):
     check_decomposition(relabel(random_tree(m, rng), rng))
 
 
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_lazy_placement_in_any_order_matches_decompose(m, seed):
+    rng = random.Random(seed)
+    check_lazy_placement(random_tree(m, rng), rng)
+    check_lazy_placement(relabel(random_tree(m, rng), rng), rng)
+
+
+def test_centroid_placed_in_a_subcomponent_is_not_outside():
+    # path of 15: the root 7 leaves {0..6} and {8..14}; 11 splits the latter
+    # into {8, 9, 10} and {12, 13, 14}, and 13 the last one into two leaves
+    ct = CentroidTree.of(path(15))
+    assert (ct.root, ct.placed) == (7, 1)
+    assert ct.component_of(7, 8) == 11
+    assert ct.component_of(11, 12) == 13
+    assert ct.placed == 5  # 7, 11, 13 and the one-node components 12 and 14
+    # 8 is not placed, but its component's centroid is: 11 again
+    assert ct.component_of(7, 8) == 11
+    # 12 was placed two levels below 7 and still lies inside its component
+    assert ct.component_of(11, 12) == 13
+    assert ct.component_of(7, 12) == 11
+    assert ct.component_of(13, 11) is None
+    assert ct.complete() == decompose(path(15))
+
+
+def test_component_of_a_pair_not_placed_completes_the_tree():
+    # 14 is not next to 7 and not placed: the tree is completed to answer
+    ct = CentroidTree.of(path(15))
+    assert ct.component_of(7, 14) == 11
+    assert ct.placed == 15 and ct == decompose(path(15))
+    # the same when u itself is not placed yet
+    ct = CentroidTree.of(path(15))
+    assert ct.component_of(11, 12) == 13 and ct.placed == 15
+
+
 def test_star_and_caterpillar():
     star = [list(range(1, 30))] + [[] for _ in range(29)]
     check_decomposition(star)
@@ -226,9 +289,10 @@ def test_snapshot_decomposition_matches_adjacency(text):
             by_symbol[snap.parent[v]].append(v)
         for v, ks in enumerate(by_symbol):
             ks.sort(key=lambda ch, d=snap.depth[v]: snap.text[snap.first_occ[ch] + d])
-        ct = decompose_snapshot(snap)
+        ct = decompose_snapshot(snap).complete()
         assert ct == decompose(by_symbol) == decompose([ks[::-1] for ks in by_symbol])
         check_decomposition(snap.children)
+        check_lazy_placement(snap.children, random.Random(size))
         if size >= len(text):
             break
         size = min(2 * size, len(text))

@@ -20,6 +20,7 @@ from strrecon import (
     reconstruct_rle,
     to_letters,
 )
+from strrecon import reconstruct
 from strrecon.bench import bound_holds, run_one
 from strrecon.reconstruct import _max_true, _phrase_search, decompose_snapshot
 
@@ -122,12 +123,27 @@ def test_single_symbol_string_query_costs():
         assert o.stats().total_queries <= limit, algo.__name__
 
 
-def test_decomposition_records_are_emitted():
+def test_decomposition_records_are_emitted(monkeypatch):
+    built = []
+
+    def counted(snap):
+        built.append(decompose_snapshot(snap))
+        return built[-1]
+
+    monkeypatch.setattr(reconstruct, "decompose_snapshot", counted)
     hidden = generate("random", 400, 2, seed=4)
     rep = reconstruct_lz_substring(Oracle(hidden), 2)
-    records = rep.extras["decompositions"]
-    assert records and all(size >= 1 and height >= 1 for size, height, _ in records)
-    assert all(balanced for _, _, balanced in records)
+    # one record per decomposition, each phase's last one included
+    assert rep.extras["decompositions"] == [(ct.size, ct.placed) for ct in built]
+    assert all(1 <= placed <= size for size, placed in rep.extras["decompositions"])
+
+
+def test_searches_place_few_centroids():
+    # the phrase searches enter only a small part of each decomposition;
+    # placing every centroid up front would read 100 %
+    hidden = generate("random", 2000, 2, seed=4)
+    records = reconstruct_lz_substring(Oracle(hidden), 2).extras["decompositions"]
+    assert sum(placed for _, placed in records) < 0.25 * sum(size for size, _ in records)
 
 
 def phrase_search(known: Text, extend) -> bytes:
