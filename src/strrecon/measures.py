@@ -80,14 +80,16 @@ def rle_runs(s: Text | bytes) -> int:
 def lz77(s: Text | bytes, allow_overlap: bool = True) -> LZFactorization:
     """Greedy left-to-right LZ77 parse."""
     syms = _symbols(s)
-    return _parse(syms, SuffixAutomaton(syms), allow_overlap)
+    phrases = _parse(syms, SuffixAutomaton(syms), allow_overlap)
+    return LZFactorization(tuple(LZPhrase(*ph) for ph in phrases), allow_overlap)
 
 
-def _parse(syms: bytes, sam: SuffixAutomaton, allow_overlap: bool) -> LZFactorization:
-    """Greedy parse of syms with the suffix automaton of syms itself."""
+def _parse(syms: bytes, sam: SuffixAutomaton, allow_overlap: bool) -> list[tuple]:
+    """Greedy parse of syms with the suffix automaton of syms itself, as
+    (length, source, symbol) tuples in the field order of LZPhrase."""
     min_end = sam.finalize_min_end()
     nxt = sam.next
-    phrases: list[LZPhrase] = []
+    phrases = []
     n = len(syms)
     i = 0
     while i < n:
@@ -110,12 +112,12 @@ def _parse(syms: bytes, sam: SuffixAutomaton, allow_overlap: bool) -> LZFactoriz
             l += 1
             j += 1
         if l == 0:
-            phrases.append(LZPhrase(1, symbol=syms[i]))
+            phrases.append((1, None, syms[i]))
             i += 1
         else:
-            phrases.append(LZPhrase(l, source=min_end[state] - l + 1))
+            phrases.append((l, min_end[state] - l + 1, None))
             i += l
-    return LZFactorization(tuple(phrases), allow_overlap)
+    return phrases
 
 
 def measure(s: Text | bytes) -> MeasureReport:

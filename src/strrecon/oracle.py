@@ -1,8 +1,9 @@
 """The query oracle: substring/prefix membership over a hidden string.
 
 Reconstruction code only ever sees an :class:`Oracle`; the hidden string is
-never exposed. Every query is counted, including repeated identical ones, in
-one place (``Oracle._count``).
+never exposed. Every query is counted, including repeated identical ones: a
+native cursor's ``probe`` charges itself, so that a probe is one Python call,
+and every other query is charged through ``Oracle._count``.
 """
 from __future__ import annotations
 
@@ -106,8 +107,24 @@ class _Right:
         return s
 
     def probe(self, t) -> bool:
-        self._o._count("substring", len(self._known) + len(t))
-        return self._walk(self._state, t) >= 0
+        st = self._o._stats
+        length = len(self._known) + len(t)
+        st.substring_queries += 1
+        st.total_queried_symbols += length
+        if length > st.max_query_length:
+            st.max_query_length = length
+        s = self._state
+        if s < 0:
+            return False
+        nxt = self._nxt
+        try:  # a symbol at or past the row width has no transition
+            for c in t:
+                s = nxt[s][c]
+                if not s:
+                    return False
+        except IndexError:
+            return False
+        return True
 
     def first(self, symbols) -> int:
         s = self._state
@@ -131,49 +148,48 @@ class _Right:
 
 class _Left:
     """Substring queries reverse(t) + known, t in the reversed orientation of
-    a grow loop that works on reverse(known): one slice compare per start
-    position of known. Once forward growth is stuck, known occurs exactly
-    once (reconstruct's forward-stuck soundness)."""
+    a grow loop that works on reverse(known): the cursor keeps the reversed
+    hidden string and the positions where reverse(known) ends in it, so a
+    probe is one startswith of t per position. Once forward growth is stuck,
+    known occurs exactly once (reconstruct's forward-stuck soundness)."""
 
-    __slots__ = ("_o", "_rev", "_occ")
+    __slots__ = ("_o", "_rh", "_rev", "_ends")
 
     def __init__(self, o: Oracle, known: bytes):
-        hidden = o._hidden
-        occ = []
-        p = hidden.find(known)
-        while p >= 0:
-            occ.append(p)
-            p = hidden.find(known, p + 1)
         self._o = o
+        self._rh = rh = o._hidden[::-1]
         self._rev = bytearray(known[::-1])
-        self._occ = occ
+        self._ends = ends = []
+        p = rh.find(self._rev)
+        while p >= 0:
+            ends.append(p + len(known))
+            p = rh.find(self._rev, p + 1)
 
     def probe(self, t) -> bool:
-        o = self._o
-        m = len(t)
-        o._count("substring", len(self._rev) + m)
-        head = t[::-1]
-        hidden = o._hidden
-        for p in self._occ:
-            if p >= m and hidden.startswith(head, p - m):
+        st = self._o._stats
+        length = len(self._rev) + len(t)
+        st.substring_queries += 1
+        st.total_queried_symbols += length
+        if length > st.max_query_length:
+            st.max_query_length = length
+        rh = self._rh
+        for a in self._ends:
+            if rh.startswith(t, a):
                 return True
         return False
 
     def first(self, symbols) -> int:
-        hidden = self._o._hidden
-        before = {hidden[p - 1] for p in self._occ if p}
+        rh = self._rh
+        after = {rh[a] for a in self._ends if a < len(rh)}
         for i, c in enumerate(symbols):
-            if c in before:
+            if c in after:
                 self._o._count("substring", len(self._rev) + 1, i + 1)
                 return i
         self._o._count("substring", len(self._rev) + 1, len(symbols))
         return -1
 
     def advance(self, t) -> None:
-        m = len(t)
-        head = t[::-1]
-        hidden = self._o._hidden
-        self._occ = [p - m for p in self._occ if p >= m and hidden.startswith(head, p - m)]
+        self._ends = [a + len(t) for a in self._ends if self._rh.startswith(t, a)]
         self._rev += t
 
     def result(self) -> bytes:
@@ -191,8 +207,13 @@ class _Prefix:
         self._ok = o._hidden.startswith(known)
 
     def probe(self, t) -> bool:
+        st = self._o._stats
         k = len(self._known)
-        self._o._count("prefix", k + len(t))
+        length = k + len(t)
+        st.prefix_queries += 1
+        st.total_queried_symbols += length
+        if length > st.max_query_length:
+            st.max_query_length = length
         return self._ok and self._o._hidden.startswith(t, k)
 
     def first(self, symbols) -> int:
@@ -232,7 +253,7 @@ class _Full:
         return bytes(t[::-1]) + self._known if self._left else self._known + t
 
     def probe(self, t) -> bool:
-        return self._query(self._join(t))
+        return bool(self._query(self._join(t)))
 
     def first(self, symbols) -> int:
         for i, c in enumerate(symbols):

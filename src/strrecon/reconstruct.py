@@ -98,7 +98,7 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, probe) -> bytes:
     def ext(t: bytes) -> bool:
         a = memo.get(t)
         if a is None:
-            a = memo[t] = bool(probe(t))
+            a = memo[t] = probe(t)
         return a
 
     text = snap.text
@@ -113,7 +113,11 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, probe) -> bytes:
         d = depth[u] + 1
         for ch in by_symbol(u):
             f = first_occ[ch]
-            if ext(text[f : f + d]):  # locus(u) plus the edge's first symbol
+            t = text[f : f + d]  # locus(u) plus the edge's first symbol
+            a = memo.get(t)
+            if a is None:
+                a = memo[t] = probe(t)
+            if a:
                 return ch
         return -1
 

@@ -286,6 +286,33 @@ def test_full_query_cursors_hand_out_queries_a_wrapper_can_keep(algo):
     assert kept.answers == copied.answers
 
 
+class _Loose(_Logging):
+    """Answers 1 for true and `false` for false, like a wrapper that returns
+    match counts or optional matches instead of bools."""
+
+    def __init__(self, o: Oracle, false):
+        super().__init__(o, True)
+        self.false = false
+
+    def _keep(self, q, a: bool):
+        super()._keep(q, a)
+        return 1 if a else self.false
+
+
+@pytest.mark.parametrize("false", [0, None])
+@pytest.mark.parametrize("algo", ALGOS, ids=ALGO_NAMES)
+def test_non_bool_answers_ask_and_charge_what_bools_do(algo, false):
+    # the phrase search's memo takes a None answer for "not asked yet", so
+    # full-query probes must hand it bools
+    for family, n, sigma in CASES[1:5]:
+        hidden = generate(family, n // 10, sigma, seed=5)
+        plain, logged, loose = Oracle(hidden), _Logging(Oracle(hidden), True), _Loose(Oracle(hidden), false)
+        reps = [algo(x, sigma) for x in (plain, logged, loose)]
+        assert [r.recovered for r in reps] == [hidden] * 3
+        assert reps[0].stats == reps[1].stats == reps[2].stats
+        assert loose.log == logged.log
+
+
 @pytest.mark.parametrize("algo", ALGOS, ids=ALGO_NAMES)
 def test_plain_oracle_reconstructs_without_building_full_queries(algo, monkeypatch):
     # the native cursors answer in O(|t|); a full query per probe would

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,6 +190,27 @@ def test_phrase_search_probes_children_in_symbol_order(known, extending, phrase)
     parent = phrase[:-1]
     siblings = [q for q in asked if len(q) == len(parent) + 1 and q.startswith(parent)]
     assert siblings == sorted(siblings) and siblings[-1] == phrase
+
+
+def test_phrase_search_never_asks_the_same_query_twice():
+    # known is a prefix of the hidden string (prefix probes, as lz-prefix
+    # asks) or any piece of it (substring probes, as lz-substring asks)
+    rng = random.Random(11)
+    for case in range(600):
+        sigma = rng.randint(2, 8)
+        hidden = bytes(rng.randint(1, sigma) for _ in range(rng.randint(2, 60)))
+        i = rng.randrange(len(hidden))
+        j = rng.randint(i + 1, len(hidden))
+        known = hidden[:j] if case % 2 else hidden[i:j]
+        asked: list[bytes] = []
+
+        def probe(t: bytes) -> bool:
+            asked.append(bytes(t))
+            q = known + t
+            return hidden.startswith(q) if case % 2 else q in hidden
+
+        phrase_search(Text(known, sigma), probe)
+        assert len(asked) == len(set(asked)), (hidden, known)
 
 
 def test_max_true_exact_over_small_domain():
