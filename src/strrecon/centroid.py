@@ -30,7 +30,9 @@ component reads and writes only the sizes inside it, and components are
 disjoint, so the order of placement cannot change any centroid: a phrase
 search that enters a tenth of the components pays for a tenth of the walks,
 and `complete()` (which `decompose` calls) places the rest to give the same
-tree as placing everything at once.
+tree as placing everything at once. A search moves only from a placed node
+to one of its tree neighbours, so `component_of` answers only such pairs,
+from the key alone.
 """
 from __future__ import annotations
 
@@ -48,9 +50,9 @@ class CentroidTree:
     height: int                # of the placed part
     balanced: bool             # every split produced components of size <= m/2
     placed: int = field(default=0, compare=False, repr=False)  # nodes placed so far
-    # until complete(): the tree's child lists, parents and in-component
-    # sizes, and the pending components (key -> top) and placed ones
-    # (key -> centroid), keyed as in the module docstring
+    # the tree's parents, and the placed components (key -> centroid); until
+    # complete(), its child lists, in-component sizes and the pending
+    # components (key -> top), keyed as in the module docstring
     _kids: list | None = field(default=None, compare=False, repr=False)
     _up: list | None = field(default=None, compare=False, repr=False)
     _size: list | None = field(default=None, compare=False, repr=False)
@@ -154,51 +156,36 @@ class CentroidTree:
         return c
 
     def complete(self) -> CentroidTree:
-        """Place every pending component; returns self."""
-        pending = self._pending
-        up = self._up
+        """Place every pending component, each stored under its key as
+        `component_of` stores it; returns self."""
+        pending, up, found = self._pending, self._up, self._found
         while pending:
             key, top = pending.popitem()
-            self._place(top, up[key] if key > 0 else ~key)
-        self._kids = self._up = self._size = None
-        self._found = {}
+            found[key] = self._place(top, up[key] if key > 0 else ~key)
+        self._kids = self._size = None
         return self
 
     def component_of(self, u: int, v: int) -> int | None:
-        """The centroid-child of u whose component contains v.
-
-        None when v == u or v lies outside u's component (i.e. u is not a
-        strict ancestor of v in the decomposition). Places the component
-        when u is placed and v is a tree neighbour of u that is not;
-        completes the tree first for any other pair holding a node not
-        placed yet.
+        """The centroid-child of placed u whose component holds v, a tree
+        child or the tree parent of u; None when v was placed at depth <=
+        depth[u], outside u's component. Raises ValueError for any other
+        pair. A neighbour placed deeper than u lies in the component u left
+        on its side, which this method or complete() placed, or is v alone.
         """
-        depth = self.depth
-        if not 0 <= u < len(depth) or not 0 <= v < len(depth):
-            raise KeyError(f"unknown node in ({u}, {v})")
-        if u == v:
+        depth, up = self.depth, self._up
+        if not (0 <= u < len(depth) and 0 <= v < len(depth) and depth[u] >= 0
+                and (up[v] == u or up[u] == v)):
+            raise ValueError(f"({u}, {v}): u must be placed and v a tree neighbour of u")
+        dv = depth[v]
+        if 0 <= dv <= depth[u]:
             return None
-        du = depth[u]
-        if du < 0 or depth[v] < 0:
-            up = self._up
-            # v unplaced next to a placed u lies in a component u left, never
-            # outside, even when a centroid is already placed inside it
-            key = 0 if du < 0 else v if up[v] == u else ~u if up[u] == v else 0
-            if key:
-                c = self._found.get(key)
-                if c is None:
-                    c = self._found[key] = self._place(self._pending.pop(key), u)
-                return c
-            self.complete()
-            du = depth[u]
-        parent = self.parent
-        cur = v
-        while depth[cur] > du:
-            prev = cur
-            cur = parent[cur]
-            if cur == u:
-                return prev
-        return None
+        key = v if up[v] == u else ~u
+        c = self._found.get(key)
+        if c is None:
+            if dv >= 0:
+                return v
+            c = self._found[key] = self._place(self._pending.pop(key), u)
+        return c
 
 
 def decompose(kids: list[list[int]]) -> CentroidTree:

@@ -146,94 +146,55 @@ class _Right:
         return bytes(self._known)
 
 
-class _Left:
-    """Substring queries reverse(t) + known, t in the reversed orientation of
-    a grow loop that works on reverse(known): the cursor keeps the reversed
-    hidden string and the positions where reverse(known) ends in it, so a
-    probe is one startswith of t per position. Once forward growth is stuck,
-    known occurs exactly once (reconstruct's forward-stuck soundness)."""
-
-    __slots__ = ("_o", "_rh", "_rev", "_ends")
-
-    def __init__(self, o: Oracle, known: bytes):
-        self._o = o
-        self._rh = rh = o._hidden[::-1]
-        self._rev = bytearray(known[::-1])
-        self._ends = ends = []
-        p = rh.find(self._rev)
-        while p >= 0:
-            ends.append(p + len(known))
-            p = rh.find(self._rev, p + 1)
-
-    def probe(self, t) -> bool:
-        st = self._o._stats
-        length = len(self._rev) + len(t)
-        st.substring_queries += 1
-        st.total_queried_symbols += length
-        if length > st.max_query_length:
-            st.max_query_length = length
-        rh = self._rh
-        for a in self._ends:
-            if rh.startswith(t, a):
-                return True
-        return False
-
-    def first(self, symbols) -> int:
-        rh = self._rh
-        after = {rh[a] for a in self._ends if a < len(rh)}
-        for i, c in enumerate(symbols):
-            if c in after:
-                self._o._count("substring", len(self._rev) + 1, i + 1)
-                return i
-        self._o._count("substring", len(self._rev) + 1, len(symbols))
-        return -1
-
-    def advance(self, t) -> None:
-        self._ends = [a + len(t) for a in self._ends if self._rh.startswith(t, a)]
-        self._rev += t
-
-    def result(self) -> bytes:
-        return bytes(self._rev[::-1])
-
-
 class _Prefix:
-    """Prefix queries known + t: one compare of t at len(known)."""
+    """Queries known + t that hold when known + t is a prefix of `hay`: one
+    compare of t at len(known). Over the hidden string these are prefix
+    queries; over its reverse, the left side's substring queries
+    reverse(t) + known with t and known held reversed, which agree with
+    prefix queries there because `cursor` takes this path only when
+    reverse(known) occurs there nowhere or only at position 0."""
 
-    __slots__ = ("_o", "_known", "_ok")
+    __slots__ = ("_o", "_hay", "_left", "_known", "_ok")
 
-    def __init__(self, o: Oracle, known: bytes):
+    def __init__(self, o: Oracle, hay: bytes, left: bool, known: bytes):
         self._o = o
+        self._hay = hay
+        self._left = left
         self._known = bytearray(known)
-        self._ok = o._hidden.startswith(known)
+        self._ok = hay.startswith(known)
 
     def probe(self, t) -> bool:
         st = self._o._stats
         k = len(self._known)
         length = k + len(t)
-        st.prefix_queries += 1
+        if self._left:
+            st.substring_queries += 1
+        else:
+            st.prefix_queries += 1
         st.total_queried_symbols += length
         if length > st.max_query_length:
             st.max_query_length = length
-        return self._ok and self._o._hidden.startswith(t, k)
+        return self._ok and self._hay.startswith(t, k)
 
     def first(self, symbols) -> int:
         k = len(self._known)
-        hidden = self._o._hidden
-        if self._ok and k < len(hidden):
-            c = hidden[k]
+        hay = self._hay
+        kind = "substring" if self._left else "prefix"
+        if self._ok and k < len(hay):
+            c = hay[k]
             for i, x in enumerate(symbols):
                 if x == c:
-                    self._o._count("prefix", k + 1, i + 1)
+                    self._o._count(kind, k + 1, i + 1)
                     return i
-        self._o._count("prefix", k + 1, len(symbols))
+        self._o._count(kind, k + 1, len(symbols))
         return -1
 
     def advance(self, t) -> None:
-        self._ok = self._ok and self._o._hidden.startswith(t, len(self._known))
+        self._ok = self._ok and self._hay.startswith(t, len(self._known))
         self._known += t
 
     def result(self) -> bytes:
-        return bytes(self._known)
+        return bytes(self._known[::-1] if self._left else self._known)
 
 
 class _Full:
@@ -268,7 +229,7 @@ class _Full:
         return self._known
 
 
-_NATIVE = {"right": _Right, "left": _Left, "prefix": _Prefix}
+_SIDES = ("right", "left", "prefix")
 
 
 def cursor(o, side: str, known: bytes = b""):
@@ -284,13 +245,23 @@ def cursor(o, side: str, known: bytes = b""):
 
     Only an object whose class is exactly Oracle gets a native cursor, which
     keeps the match state of known: a probe takes time linear in t, ``first``
-    linear in ``symbols``. Any other object (a wrapper, or a subclass that
-    overrides the query methods) is asked each full query as new bytes, in
-    order and ``first`` included, through its contains_substring or
-    is_prefix, with the same answers and counts, and may keep it.
+    linear in ``symbols``. The native left cursor is the prefix cursor over
+    the reversed hidden string, so it serves a `known` that occurs nowhere or
+    only as a prefix, the only kind a left phase starts from; any other
+    `known` gets the full-query cursor below, on a plain Oracle too. Any
+    other object (a wrapper, or a subclass that overrides the query methods)
+    is asked each full query as new bytes, in order and ``first`` included,
+    through its contains_substring or is_prefix, with the same answers and
+    counts, and may keep it.
     """
-    if side not in _NATIVE:
-        raise ValueError(f"unknown cursor side {side!r}; expected one of {', '.join(_NATIVE)}")
+    if side not in _SIDES:
+        raise ValueError(f"unknown cursor side {side!r}; expected one of {', '.join(_SIDES)}")
     if type(o) is Oracle:
-        return _NATIVE[side](o, known)
+        if side == "right":
+            return _Right(o, known)
+        if side == "prefix":
+            return _Prefix(o, o._hidden, False, known)
+        rh, rk = o._hidden[::-1], known[::-1]
+        if rh.find(rk, 1) < 0:
+            return _Prefix(o, rh, True, rk)
     return _Full(o.is_prefix if side == "prefix" else o.contains_substring, side == "left", known)

@@ -7,7 +7,8 @@ Forward-stuck soundness: if R occurs in the hidden string S and no
 single-symbol right extension of R occurs, then every occurrence of R is a
 suffix occurrence, hence R occurs exactly once, as a suffix. Symmetrically,
 when no left extension exists the known string is a prefix, so both phases
-together pin down S exactly.
+together pin down S exactly. The left cursor relies on it: every backward
+query reverse(t) + R is then a prefix query on reverse(S).
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from itertools import count
 from .centroid import CentroidTree
 from .oracle import QueryStats, cursor
 from .suffix_tree import SuffixTree, TreeSnapshot
-from .text import Text
+from .text import MAX_SIGMA, Text
 
 # Snapshots of the phrase-search structures are refreshed only after the
 # known string grows by this factor; between refreshes the search runs on a
@@ -240,10 +241,11 @@ def _drive(o, sigma: int, sides: tuple[str, ...], grow, algorithm: str, unit: st
     grow(sigma, model, seed) -> steps extends the model until nothing
     extends it; `seed` is the model's known string in model orientation.
     """
-    # symbols above sigma are never probed: fail before any query rather than
-    # return a wrong string
-    if sigma < o.sigma:
-        raise ValueError(f"sigma {sigma} is below the oracle's alphabet size {o.sigma}")
+    # symbols above sigma are never probed, and no symbol lies above
+    # MAX_SIGMA: fail before any query rather than return a wrong string
+    if not o.sigma <= sigma <= MAX_SIGMA:
+        raise ValueError(f"sigma {sigma} is outside [{o.sigma}, {MAX_SIGMA}], from the "
+                         "oracle's alphabet size to the largest symbol")
     known = b""
     phases = []
     for side in sides:

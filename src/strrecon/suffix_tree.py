@@ -89,10 +89,6 @@ class SuffixTree:
     def node_count(self) -> int:
         return len(self._parent)
 
-    def append(self, c: int) -> None:
-        """Add one symbol; the tree then represents all suffixes of text+c."""
-        self.extend((c,))
-
     def extend(self, chunk) -> None:
         """Append the symbols of chunk in order, with Ukkonen's algorithm."""
         chunk = bytes(chunk)

@@ -43,6 +43,23 @@ def undirected(kids: list[list[int]]) -> list[list[int]]:
     return adj
 
 
+def reference_component_of(ct: CentroidTree, u: int, v: int) -> int | None:
+    """The centroid-child of u whose component holds v, or None, for any pair
+    of placed nodes: climb ct.parent from v to u's depth."""
+    prev, cur = None, v
+    while ct.depth[cur] > ct.depth[u]:
+        prev, cur = cur, ct.parent[cur]
+    return prev if cur == u else None
+
+
+def neighbour_pairs(kids: list[list[int]]):
+    """Every (u, v) with v a tree child or the tree parent of u."""
+    for u, ks in enumerate(kids):
+        for w in ks:
+            yield u, w
+            yield w, u
+
+
 def brute_components(adj: list[list[int]], alive: set[int], c: int) -> list[set[int]]:
     comps = []
     seen = {c}
@@ -94,7 +111,7 @@ def check_decomposition(kids: list[list[int]]) -> None:
         for piece in pieces:
             (kid,) = [v for v in ct_kids[c] if v in piece]
             for v in piece:
-                assert ct.component_of(c, v) == kid
+                assert reference_component_of(ct, c, v) == kid
             height = max(height, 1 + recurse(kid, piece, depth + 1))
         return height
 
@@ -102,12 +119,15 @@ def check_decomposition(kids: list[list[int]]) -> None:
     assert ct.height == height
     assert ct.balanced
     assert height <= math.floor(math.log2(m)) + 1
+    for u, v in neighbour_pairs(kids):
+        assert ct.component_of(u, v) == reference_component_of(ct, u, v)
 
 
 def check_lazy_placement(kids: list[list[int]], rng: random.Random) -> None:
     """Place components in a random order through the neighbour calls a
     phrase search makes, each answer checked against the full
-    decomposition; then complete the tree and compare it field for field."""
+    decomposition; then ask every neighbour pair of a placed node, complete
+    the tree, compare it field for field and ask every neighbour pair again."""
     m = len(kids)
     up = [-1] * m
     for v, ks in enumerate(kids):
@@ -120,22 +140,29 @@ def check_lazy_placement(kids: list[list[int]], rng: random.Random) -> None:
         u = rng.choice(reached)
         near = [*kids[u], up[u]] if u else [*kids[u]]
         if near:
-            got = ct.component_of(u, rng.choice(near))
+            v = rng.choice(near)
+            got = ct.component_of(u, v)
+            assert got == reference_component_of(full, u, v)
             if got is not None:
                 reached.append(got)
-        v = rng.choice(reached)
-        assert ct.component_of(u, v) == full.component_of(u, v)
     placed = [v for v in range(m) if ct.depth[v] >= 0]
     assert len(placed) == ct.placed
     assert all((ct.parent[v], ct.depth[v]) == (full.parent[v], full.depth[v]) for v in placed)
+    for u, v in neighbour_pairs(kids):
+        if ct.depth[u] >= 0:
+            assert ct.component_of(u, v) == reference_component_of(full, u, v)
     assert ct.complete() == full
     assert ct.placed == m
+    for u, v in neighbour_pairs(kids):
+        assert ct.component_of(u, v) == reference_component_of(full, u, v)
 
 
 def test_single_node():
     ct = decompose([[]])
     assert ct.root == 0 and ct.height == 1 and ct.balanced
-    assert ct.component_of(0, 0) is None
+    assert reference_component_of(ct, 0, 0) is None
+    with pytest.raises(ValueError):
+        ct.component_of(0, 0)  # a node is not its own neighbour
 
 
 def test_empty_tree_rejected():
@@ -172,15 +199,21 @@ def test_two_centroids_smaller_id_wins():
 
 def test_component_of_edge_cases():
     ct = decompose(path(4))
-    assert ct.component_of(ct.root, ct.root) is None
+    assert reference_component_of(ct, ct.root, ct.root) is None
     # a node outside u's component yields None
     for u in range(4):
         for v in range(4):
-            got = ct.component_of(u, v)
+            got = reference_component_of(ct, u, v)
             if got is not None:
                 assert ct.parent[got] == u
-    with pytest.raises(KeyError):
-        ct.component_of(0, 9)
+            if abs(u - v) == 1:
+                assert ct.component_of(u, v) == got
+            else:
+                with pytest.raises(ValueError):
+                    ct.component_of(u, v)
+    for u, v in [(0, 9), (9, 0), (0, -1), (-1, 0)]:
+        with pytest.raises(ValueError):
+            ct.component_of(u, v)
 
 
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=10**6))
@@ -214,21 +247,37 @@ def test_centroid_placed_in_a_subcomponent_is_not_outside():
     assert ct.placed == 5  # 7, 11, 13 and the one-node components 12 and 14
     # 8 is not placed, but its component's centroid is: 11 again
     assert ct.component_of(7, 8) == 11
-    # 12 was placed two levels below 7 and still lies inside its component
-    assert ct.component_of(11, 12) == 13
-    assert ct.component_of(7, 12) == 11
-    assert ct.component_of(13, 11) is None
+    # 9 splits {8, 9, 10} into two one-node components, placed with it
+    assert ct.component_of(11, 10) == 9
+    assert ct.placed == 8
+    # 8 is now placed three levels below 7 and still lies inside its
+    # component, whose centroid was stored under its key
+    assert ct.component_of(7, 8) == 11
+    # 10 is a placed one-node component: its own centroid
+    assert ct.component_of(9, 10) == 10
+    # 11 and 9 were placed above 10 and 8: outside their components
+    assert ct.component_of(10, 11) is None
+    assert ct.component_of(8, 9) is None
     assert ct.complete() == decompose(path(15))
+    assert reference_component_of(ct, 7, 12) == 11
+    assert reference_component_of(ct, 13, 11) is None
 
 
-def test_component_of_a_pair_not_placed_completes_the_tree():
-    # 14 is not next to 7 and not placed: the tree is completed to answer
+def test_component_of_rejects_pairs_that_are_not_placed_neighbours():
+    # 14 is not next to 7, and 11 is not placed yet: both raise, and
+    # neither places anything
     ct = CentroidTree.of(path(15))
-    assert ct.component_of(7, 14) == 11
-    assert ct.placed == 15 and ct == decompose(path(15))
-    # the same when u itself is not placed yet
-    ct = CentroidTree.of(path(15))
-    assert ct.component_of(11, 12) == 13 and ct.placed == 15
+    with pytest.raises(ValueError):
+        ct.component_of(7, 14)
+    with pytest.raises(ValueError):
+        ct.component_of(11, 12)
+    assert ct.placed == 1
+    # the same pairs on the completed tree: 14 still is not next to 7
+    ct.complete()
+    with pytest.raises(ValueError):
+        ct.component_of(7, 14)
+    assert ct.component_of(11, 12) == 13
+    assert reference_component_of(ct, 7, 14) == 11
 
 
 def test_star_and_caterpillar():

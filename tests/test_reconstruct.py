@@ -21,9 +21,11 @@ from strrecon import (
     reconstruct_rle,
     to_letters,
 )
-from strrecon import reconstruct
+from strrecon import oracle, reconstruct
 from strrecon.bench import bound_holds, run_one
+from strrecon.oracle import cursor
 from strrecon.reconstruct import _max_true, _phrase_search, decompose_snapshot
+from strrecon.text import MAX_SIGMA
 
 ALGOS = [reconstruct_naive, reconstruct_rle, reconstruct_lz_prefix, reconstruct_lz_substring]
 ALGO_NAMES = ["naive", "rle", "lz-prefix", "lz-substring"]
@@ -68,6 +70,63 @@ def test_sigma_below_oracle_alphabet_is_rejected(algo):
     with pytest.raises(ValueError):
         algo(o, 2)
     assert o.stats().total_queries == 0
+
+
+@pytest.mark.parametrize("sigma", [MAX_SIGMA + 1, 300])
+@pytest.mark.parametrize("algo", ALGOS, ids=ALGO_NAMES)
+def test_sigma_above_max_sigma_is_rejected(algo, sigma):
+    # no symbol lies above MAX_SIGMA, and the grow loops could not even list
+    # the symbols to try: the range is named before any query
+    o = Oracle(from_letters("abcabcab"))
+    with pytest.raises(ValueError, match=rf"outside \[3, {MAX_SIGMA}\]"):
+        algo(o, sigma)
+    assert o.stats().total_queries == 0
+
+
+@pytest.mark.parametrize("algo", [reconstruct_naive, reconstruct_rle, reconstruct_lz_substring],
+                         ids=["naive", "rle", "lz-substring"])
+def test_left_phases_on_a_plain_oracle_never_take_the_full_path(algo, monkeypatch):
+    # forward-stuck soundness: a left phase starts from a string that occurs
+    # once, as a suffix, so its cursor is the native one; right and prefix
+    # cursors over a plain Oracle are always native
+    made = []
+
+    class Counted(oracle._Full):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(oracle, "_Full", Counted)
+    rng = random.Random(21)
+    hidden = [Text(bytes(tup), 2) for n in range(1, 9) for tup in itertools.product((1, 2), repeat=n)]
+    hidden += [generate("random", rng.randint(1, 300), sigma, rng.randrange(10**6))
+               for sigma in (4, 26) for _ in range(40)]
+    for h in hidden:
+        check_exact(algo, h)
+    assert made == []
+
+
+def test_a_left_known_that_is_not_a_unique_suffix_takes_the_full_path():
+    # in "abcab", "ab" occurs twice and "bc" once but not as a suffix: a
+    # compare at the start of the reversed hidden string would miss an
+    # occurrence, so those cursors ask full queries and answer like `in`;
+    # "cab" (a unique suffix) and "cc" (absent) get the native cursor
+    s = from_letters("abcab").symbols
+    for known, native in [(b"\x01\x02", False), (b"\x02\x03", False),
+                          (b"\x03\x01\x02", True), (b"\x03\x03", True)]:
+        o = Oracle(Text(s, 3))
+        c = cursor(o, "left", known)
+        assert (type(c) is not oracle._Full) == native, known
+        asked = 0
+        for m in range(4):
+            for t in map(bytes, itertools.product((1, 2, 3), repeat=m)):
+                assert c.probe(t) == (t[::-1] + known in s), (known, t)
+                asked += 1
+        hits = [c for c in (3, 2, 1) if bytes((c,)) + known in s]
+        assert c.first(bytes((3, 2, 1))) == ((3, 2, 1).index(hits[0]) if hits else -1)
+        assert o.stats().substring_queries == asked + ((3, 2, 1).index(hits[0]) + 1 if hits else 3)
+        c.advance(b"\x02")
+        assert c.result() == b"\x02" + known
 
 
 @pytest.mark.parametrize("name", ALGO_NAMES)

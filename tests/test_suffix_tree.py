@@ -30,9 +30,9 @@ def test_rejects_bad_arguments():
         SuffixTree(0)
     tree = SuffixTree(2)
     with pytest.raises(ValueError):
-        tree.append(3)
+        tree.extend((3,))
     with pytest.raises(ValueError):
-        tree.append(0)
+        tree.extend((0,))
     with pytest.raises(KeyError):
         tree.locus_interval(99)
 
@@ -125,7 +125,7 @@ def test_root_interval_and_empty_tree():
     assert not tree.contains(b"\x01")
     snap = tree.snapshot()
     assert snap.size == 1 and snap.first_occ[0] == 0
-    tree.append(1)
+    tree.extend((1,))
     assert tree.contains(b"\x01")
     assert tree.locus_interval(0) == (1, 0)
 
@@ -151,7 +151,7 @@ def test_online_build_matches_batch_build(s):
     online = SuffixTree(3)
     kept = []
     for i, c in enumerate(s):
-        online.append(c)
+        online.extend((c,))
         prefix = s[: i + 1]
         for q in all_substrings(prefix):
             assert online.contains(q)
@@ -174,7 +174,7 @@ def test_chunked_extension_matches_per_symbol_appends(s, cuts):
         chunk = s[len(chunked) : len(chunked) + k]
         chunked.extend(chunk)
         for c in chunk:
-            single.append(c)
+            single.extend((c,))
         assert chunked.snapshot() == single.snapshot()
         assert chunked.node_count == single.node_count
     assert bytes(chunked.text) == s
