@@ -2,8 +2,8 @@
 
 Reconstruction code only ever sees an :class:`Oracle`; the hidden string is
 never exposed. Every query is counted, including repeated identical ones: a
-native cursor's ``probe`` charges itself, so that a probe is one Python call,
-and every other query is charged through ``Oracle._count``.
+native cursor's ``probe`` and ``first`` charge themselves, so that each is
+one Python call, and every other query is charged through ``Oracle._count``.
 """
 from __future__ import annotations
 
@@ -46,16 +46,16 @@ class Oracle:
     def __len__(self) -> int:
         return len(self._hidden)
 
-    def _count(self, kind: str, length: int, times: int = 1) -> None:
-        """Charge `times` queries of `kind` ("substring" or "prefix"), each
-        of `length` symbols; times=0 charges nothing."""
+    def _count(self, kind: str, length: int) -> None:
+        """Charge one query of `kind` ("substring" or "prefix") of `length`
+        symbols."""
         st = self._stats
         if kind == "prefix":
-            st.prefix_queries += times
+            st.prefix_queries += 1
         else:
-            st.substring_queries += times
-        st.total_queried_symbols += length * times
-        if times and length > st.max_query_length:
+            st.substring_queries += 1
+        st.total_queried_symbols += length
+        if length > st.max_query_length:
             st.max_query_length = length
 
     def contains_substring(self, q) -> bool:
@@ -126,17 +126,25 @@ class _Right:
             return False
         return True
 
-    def first(self, symbols) -> int:
-        s = self._state
+    def first(self, symbols, mid=b"") -> int:
+        i = -1
+        s = self._walk(self._state, mid) if mid else self._state
         if s >= 0:
             row = self._nxt[s]
             width = len(row)
-            for i, c in enumerate(symbols):
+            for j, c in enumerate(symbols):
                 if c < width and row[c]:
-                    self._o._count("substring", len(self._known) + 1, i + 1)
-                    return i
-        self._o._count("substring", len(self._known) + 1, len(symbols))
-        return -1
+                    i = j
+                    break
+        times = i + 1 or len(symbols)
+        if times:
+            st = self._o._stats
+            length = len(self._known) + len(mid) + 1
+            st.substring_queries += times
+            st.total_queried_symbols += length * times
+            if length > st.max_query_length:
+                st.max_query_length = length
+        return i
 
     def advance(self, t) -> None:
         self._known += t
@@ -176,18 +184,26 @@ class _Prefix:
             st.max_query_length = length
         return self._ok and self._hay.startswith(t, k)
 
-    def first(self, symbols) -> int:
-        k = len(self._known)
+    def first(self, symbols, mid=b"") -> int:
         hay = self._hay
-        kind = "substring" if self._left else "prefix"
-        if self._ok and k < len(hay):
-            c = hay[k]
-            for i, x in enumerate(symbols):
-                if x == c:
-                    self._o._count(kind, k + 1, i + 1)
-                    return i
-        self._o._count(kind, k + 1, len(symbols))
-        return -1
+        k = len(self._known)
+        length = k + len(mid) + 1
+        i = -1
+        if self._ok and length <= len(hay) and hay.startswith(mid, k):
+            c = hay[length - 1]  # the one symbol that extends known + mid
+            if c in symbols:
+                i = symbols.index(c)
+        times = i + 1 or len(symbols)
+        if times:
+            st = self._o._stats
+            if self._left:
+                st.substring_queries += times
+            else:
+                st.prefix_queries += times
+            st.total_queried_symbols += length * times
+            if length > st.max_query_length:
+                st.max_query_length = length
+        return i
 
     def advance(self, t) -> None:
         self._ok = self._ok and self._hay.startswith(t, len(self._known))
@@ -216,9 +232,9 @@ class _Full:
     def probe(self, t) -> bool:
         return bool(self._query(self._join(t)))
 
-    def first(self, symbols) -> int:
+    def first(self, symbols, mid=b"") -> int:
         for i, c in enumerate(symbols):
-            if self.probe(bytes((c,))):
+            if self.probe(mid + bytes((c,))):
                 return i
         return -1
 
@@ -238,21 +254,22 @@ def cursor(o, side: str, known: bytes = b""):
     reverse(t) + known) or "prefix" (prefix queries known + t).
 
     ``probe(t)`` is one query of ``len(known) + len(t)`` symbols.
-    ``first(symbols)`` asks the one-symbol probes of ``symbols`` in order and
-    returns the index of the first true one, or -1, charging one query of
-    ``len(known) + 1`` symbols per symbol tried. ``advance(t)`` extends
-    known and asks nothing; ``result()`` returns known.
+    ``first(symbols, mid=b"")`` asks the probes ``mid + c`` for each ``c`` in
+    ``symbols``, in order, and returns the index of the first true one, or
+    -1, charging one query of ``len(known) + len(mid) + 1`` symbols per
+    symbol tried. ``advance(t)`` extends known and asks nothing;
+    ``result()`` returns known.
 
     Only an object whose class is exactly Oracle gets a native cursor, which
-    keeps the match state of known: a probe takes time linear in t, ``first``
-    linear in ``symbols``. The native left cursor is the prefix cursor over
-    the reversed hidden string, so it serves a `known` that occurs nowhere or
-    only as a prefix, the only kind a left phase starts from; any other
-    `known` gets the full-query cursor below, on a plain Oracle too. Any
-    other object (a wrapper, or a subclass that overrides the query methods)
-    is asked each full query as new bytes, in order and ``first`` included,
-    through its contains_substring or is_prefix, with the same answers and
-    counts, and may keep it.
+    keeps the match state of known and charges its own queries: a probe takes
+    time linear in t, ``first`` linear in ``mid`` plus ``symbols``. The native
+    left cursor is the prefix cursor over the reversed hidden string, so it
+    serves a `known` that occurs nowhere or only as a prefix, the only kind a
+    left phase starts from; any other `known` gets the full-query cursor
+    below, on a plain Oracle too. Any other object (a wrapper, or a subclass
+    that overrides the query methods) is asked each full query as new bytes,
+    in order and ``first`` included, through its contains_substring or
+    is_prefix, with the same answers and counts, and may keep it.
     """
     if side not in _SIDES:
         raise ValueError(f"unknown cursor side {side!r}; expected one of {', '.join(_SIDES)}")

@@ -80,78 +80,86 @@ def decompose_snapshot(snap: TreeSnapshot) -> CentroidTree:
     return CentroidTree.of(snap.children)
 
 
-def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, probe) -> bytes:
+def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
     """Longest t spelled by a root path of the (snapshotted) suffix tree
-    such that probe(t) holds; b"" when not even one symbol extends.
+    such that model.probe(t) holds; b"" when not even one symbol extends.
 
     Walks the centroid tree: at each visited node u, one query verifies
     locus(u); a verified node is left through the suffix-tree child whose
-    first edge symbol still extends (<= sigma probes, ascending), an
-    unverified one through its suffix-tree parent's component;
-    `ct.component_of` places a component's centroid the first time any
-    search enters it. The deepest verified node is then extended along at
-    most one partial edge with an exponential search. Each distinct t is
-    asked at most once (one memo per call); an empty result means every
+    first edge symbol still extends, found by one model.first(symbols,
+    locus(u)) call (<= sigma queries, ascending), an unverified one through
+    its suffix-tree parent's component; `ct.component_of` places a
+    component's centroid the first time any search enters it. The deepest
+    verified node is then extended, from the child the walk found for it,
+    along at most one partial edge with an exponential search.
+
+    Each distinct t is asked at most once, with no memo of query strings.
+    Every t is a point on a root path of the snapshot, and:
+    - loci are distinct, so locus answers are kept by node id;
+    - a child's extension probe is one symbol into its edge, so it equals
+      locus(child) only when that edge has one symbol;
+    - a point inside an edge is asked at most once: after leaving u through
+      a child, the walk stays below that child.
+    So a node's extensions are one `first` call, except at a node with a
+    one-symbol child whose locus the walk asked first. That answer was
+    false (a true locus sends the walk below it for good), so the other
+    children are probed one by one around it. An empty result means every
     symbol in the snapshot was asked.
     """
-    memo: dict[bytes, bool] = {}
-
-    def ext(t: bytes) -> bool:
-        a = memo.get(t)
-        if a is None:
-            a = memo[t] = probe(t)
-        return a
-
-    text = snap.text
-    depth = snap.depth
-    first_occ = snap.first_occ
+    probe, first = model.probe, model.first
+    text, depth, first_occ, parent = snap.text, snap.depth, snap.first_occ, snap.parent
     by_symbol = snap.children_by_symbol
-    locus = snap.locus
+    seen: dict[int, bool] = {0: True}  # node -> the answer for locus(node)
+    failed: dict[int, list[int]] = {}  # node -> its one-symbol children whose loci were false
 
-    def extending_child(u: int) -> int:
-        """The child of u with the smallest first edge symbol that extends,
-        probed in ascending symbol order; -1 when none does."""
-        d = depth[u] + 1
-        for ch in by_symbol(u):
-            f = first_occ[ch]
-            t = text[f : f + d]  # locus(u) plus the edge's first symbol
-            a = memo.get(t)
-            if a is None:
-                a = memo[t] = probe(t)
-            if a:
-                return ch
-        return -1
+    def extending_child(u: int, loc: bytes) -> int:
+        """The child of u with the smallest first edge symbol that extends
+        loc == locus(u), asked in ascending symbol order; -1 when none does."""
+        kids, syms = by_symbol(u)
+        gone = failed.get(u)
+        ch = -1
+        if gone is None:
+            i = first(syms, loc) if kids else -1
+            if i >= 0:
+                ch = kids[i]
+        else:
+            for v, c in zip(kids, syms):
+                if v not in gone and probe(loc + _SYMBOLS[c]):
+                    ch = v
+                    break
+        if ch >= 0 and depth[ch] == depth[u] + 1:
+            seen[ch] = True  # its locus was the query that found it
+        return ch
 
-    best = 0
-    best_depth = 0
+    best, found, nxt = 0, b"", None  # the deepest verified node, its locus, its extending child
     u: int | None = ct.root
     while u is not None:
-        if u == 0 or ext(locus(u)):
-            if depth[u] > best_depth:
-                best = u
-                best_depth = depth[u]
-            toward = extending_child(u)
-            if toward < 0:
-                break
-            u = ct.component_of(u, toward)
+        f = first_occ[u]
+        loc = text[f : f + depth[u]]  # locus(u)
+        ok = seen.get(u)
+        if ok is None:
+            ok = seen[u] = probe(loc)
+        if ok:
+            best, found, nxt = u, loc, extending_child(u, loc)
+            if nxt < 0:
+                return found
+            u = ct.component_of(u, nxt)
         else:
-            p = snap.parent[u]
-            if p < 0:
-                break
+            p = parent[u]
+            if depth[u] == depth[p] + 1:
+                failed.setdefault(p, []).append(u)
             u = ct.component_of(u, p)
-    cur = best
-    result = locus(cur) if cur else b""
-    while True:
-        nxt = extending_child(cur)
-        if nxt < 0:
-            return result
-        edge = locus(nxt)[depth[cur]:]
-        base = result
-        k = _max_true(lambda l: ext(base + edge[:l]), cap=len(edge))
-        result = base + edge[:k]
-        if k < len(edge):
-            return result
-        cur = nxt
+    if nxt is None:  # the walk verified no node, so it never asked at the root
+        nxt = extending_child(0, b"")
+    while nxt >= 0:
+        f, d, e = first_occ[nxt], depth[best], depth[nxt]
+        a = seen.get(nxt)  # the answer for locus(nxt), if the walk asked it
+        k = _max_true(lambda l: probe(text[f : f + d + l]) if a is None or d + l < e else a, cap=e - d)
+        if d + k < e:
+            return text[f : f + d + k]
+        found = text[f : f + e]
+        best, nxt = nxt, extending_child(nxt, found)
+    return found
 
 
 def _grow_symbols(sigma: int, model, seed: bytes) -> int:
@@ -222,7 +230,7 @@ def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
             ct = decompose_snapshot(snap)
             rebuild_at = max(1, len(grown) * _REBUILD_FACTOR)
             fresh = symbols.translate(None, snap.text)
-        phrase = _phrase_search(snap, ct, model.probe)
+        phrase = _phrase_search(snap, ct, model)
         if not phrase:
             i = model.first(fresh)
             if i < 0:

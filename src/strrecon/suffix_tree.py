@@ -28,6 +28,8 @@ from .text import Text
 
 # The child map of every leaf: empty, shared and read-only.
 _LEAF_KIDS = MappingProxyType({})
+# What TreeSnapshot.children_by_symbol answers for every leaf.
+_LEAF_PAIR: tuple[tuple[int, ...], bytes] = ((), b"")
 
 
 @dataclass
@@ -44,20 +46,27 @@ class TreeSnapshot:
     parent: list[int]
     children: list[list[int] | tuple[int, ...]]  # per node: child ids in insertion order
     first_occ: list[int]
-    _by_symbol: dict[int, list[int]] = field(default_factory=dict, compare=False, repr=False)
+    _by_symbol: dict[int, tuple[tuple[int, ...], bytes]] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.depth)
 
-    def children_by_symbol(self, v: int) -> list[int]:
-        """Children of v in ascending order of first edge symbol, sorted on
-        first request: searches visit few nodes, but the top ones often."""
-        kids = self._by_symbol.get(v)
-        if kids is None:
+    def children_by_symbol(self, v: int) -> tuple[tuple[int, ...], bytes]:
+        """(children, symbols): the children of v in ascending order of
+        their first edge symbols, and those symbols. Built on first request
+        and kept, since searches visit few nodes but the top ones often; every
+        leaf gets one shared empty pair."""
+        pair = self._by_symbol.get(v)
+        if pair is None:
+            kids = self.children[v]
+            if not kids:
+                return _LEAF_PAIR
             text, first, d = self.text, self.first_occ, self.depth[v]
-            kids = self._by_symbol[v] = sorted(self.children[v], key=lambda ch: text[first[ch] + d])
-        return kids
+            kids = tuple(sorted(kids, key=lambda ch: text[first[ch] + d]))
+            pair = self._by_symbol[v] = (kids, bytes([text[first[ch] + d] for ch in kids]))
+        return pair
 
     def locus(self, v: int) -> bytes:
         f = self.first_occ[v]

@@ -206,12 +206,13 @@ def test_searches_place_few_centroids():
     assert sum(placed for _, placed in records) < 0.25 * sum(size for size, _ in records)
 
 
-def phrase_search(known: Text, extend) -> bytes:
-    """One phrase step over the suffix tree of known, as the LZ loop takes it."""
+def phrase_search(known: Text, model) -> bytes:
+    """One phrase step over the suffix tree of known, as the LZ loop takes it,
+    asking through the cursor `model`."""
     tree = SuffixTree(known.sigma)
     tree.extend(known.symbols)
     snap = tree.snapshot()
-    return _phrase_search(snap, decompose_snapshot(snap), extend)
+    return _phrase_search(snap, decompose_snapshot(snap), model)
 
 
 def test_phrase_search_finds_longest_extending_substring():
@@ -219,14 +220,14 @@ def test_phrase_search_finds_longest_extending_substring():
     # string AAABCABCABCAAAABCAB must be ABCAB
     known = from_letters("AAABCABCABCAAA", sigma=5)
     o = Oracle(from_letters("AAABCABCABCAAAABCAB", sigma=5))
-    phrase = phrase_search(known, lambda t: o.is_prefix(known.symbols + t))
+    phrase = phrase_search(known, cursor(o, "prefix", known.symbols))
     assert phrase == from_letters("ABCAB").symbols
 
 
 def test_phrase_search_empty_when_nothing_extends():
     known = from_letters("ab")
     o = Oracle(from_letters("ab"))
-    assert phrase_search(known, lambda t: o.is_prefix(known.symbols + t)) == b""
+    assert phrase_search(known, cursor(o, "prefix", known.symbols)) == b""
 
 
 @pytest.mark.parametrize(
@@ -241,11 +242,13 @@ def test_phrase_search_probes_children_in_symbol_order(known, extending, phrase)
     # probed first and taken
     asked: list[str] = []
 
-    def extend(t: bytes) -> bool:
-        asked.append(to_letters(t))
+    def extend(q: bytes) -> bool:
+        asked.append(to_letters(q))
         return asked[-1] in extending
 
-    assert to_letters(phrase_search(from_letters(known, sigma=4), extend)) == phrase
+    # a full-query cursor over `extend`, holding the empty string
+    model = oracle._Full(extend, False, b"")
+    assert to_letters(phrase_search(from_letters(known, sigma=4), model)) == phrase
     parent = phrase[:-1]
     siblings = [q for q in asked if len(q) == len(parent) + 1 and q.startswith(parent)]
     assert siblings == sorted(siblings) and siblings[-1] == phrase
@@ -253,7 +256,8 @@ def test_phrase_search_probes_children_in_symbol_order(known, extending, phrase)
 
 def test_phrase_search_never_asks_the_same_query_twice():
     # known is a prefix of the hidden string (prefix probes, as lz-prefix
-    # asks) or any piece of it (substring probes, as lz-substring asks)
+    # asks) or any piece of it (substring probes, as lz-substring asks);
+    # the native cursor charges what the logged full queries charge
     rng = random.Random(11)
     for case in range(600):
         sigma = rng.randint(2, 8)
@@ -261,15 +265,43 @@ def test_phrase_search_never_asks_the_same_query_twice():
         i = rng.randrange(len(hidden))
         j = rng.randint(i + 1, len(hidden))
         known = hidden[:j] if case % 2 else hidden[i:j]
-        asked: list[bytes] = []
+        side = "prefix" if case % 2 else "right"
+        logged, native = _LoggingOracle(Text(hidden, sigma)), Oracle(Text(hidden, sigma))
+        phrases = [phrase_search(Text(known, sigma), cursor(o, side, known)) for o in (logged, native)]
+        assert len(logged.log) == len(set(logged.log)), (hidden, known)
+        assert phrases[0] == phrases[1]
+        assert logged.stats() == native.stats()
 
-        def probe(t: bytes) -> bool:
-            asked.append(bytes(t))
-            q = known + t
-            return hidden.startswith(q) if case % 2 else q in hidden
 
-        phrase_search(Text(known, sigma), probe)
-        assert len(asked) == len(set(asked)), (hidden, known)
+class _CallLog:
+    """A cursor that logs each probe and first call, with its answer, in
+    letters, and passes it on to `inner`."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: list[tuple] = []
+
+    def probe(self, t) -> bool:
+        answer = self.inner.probe(t)
+        self.calls.append(("probe", to_letters(t), answer))
+        return answer
+
+    def first(self, symbols, mid=b"") -> int:
+        answer = self.inner.first(symbols, mid)
+        self.calls.append(("first", to_letters(mid), to_letters(symbols), answer))
+        return answer
+
+
+def test_phrase_search_asks_around_a_child_whose_locus_was_asked():
+    # over the tree of known = bbbba the walk first asks the centroid bb (no),
+    # then the root's extensions a, b in one first() call: b extends, and b
+    # is also the locus of a node, which is therefore not asked again; of
+    # that node's children ba and bb, the locus bb was asked already, so only
+    # ba is probed, on its own
+    known = from_letters("bbbba")
+    model = _CallLog(cursor(Oracle(from_letters("bbbbab")), "prefix", known.symbols))
+    assert to_letters(phrase_search(known, model)) == "b"
+    assert model.calls == [("probe", "bb", False), ("first", "", "ab", 1), ("probe", "ba", False)]
 
 
 def test_max_true_exact_over_small_domain():
@@ -434,6 +466,21 @@ def test_fresh_symbols_after_a_stale_snapshot_are_pinned(case):
     native = algo(Oracle(hidden), sigma).stats
     assert native.total_queries == len(o.log)
     assert native.total_queried_symbols == sum(len(q) - 2 for q in o.log)
+
+
+@pytest.mark.parametrize("algo", [reconstruct_lz_prefix, reconstruct_lz_substring],
+                         ids=["lz-prefix", "lz-substring"])
+def test_native_lz_runs_match_full_queries_at_large_alphabets(algo):
+    # the pinned digests stop at sigma 5; here the native cursors' first()
+    # calls over up to 26 children must ask and charge what the full-query
+    # path asks one query at a time
+    for family, n, sigma in [("random", 1000, 16), ("random", 1000, 26), ("fibonacci", 987, 2),
+                             ("copy-paste(8)", 1000, 26)]:
+        hidden = generate(family, n, sigma, seed=3)
+        native, full = algo(Oracle(hidden), sigma), algo(_LoggingOracle(hidden), sigma)
+        assert native.recovered == full.recovered == hidden
+        assert native.stats == full.stats
+        assert native.extras["decompositions"] == full.extras["decompositions"]
 
 
 PINNED_TRANSCRIPTS = {

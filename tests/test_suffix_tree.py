@@ -86,13 +86,16 @@ def test_first_occurrence_is_leftmost(s):
 def test_children_are_symbol_sorted_and_consistent(s):
     # each node's children are exactly the nodes naming it as parent, and
     # children_by_symbol orders them by their distinct first edge symbols
+    # and pairs them with those symbols, as bytes; a pair is built once
     snap = build(s, 3).snapshot()
     for v in range(snap.size):
-        kids = snap.children_by_symbol(v)
+        kids, syms = pair = snap.children_by_symbol(v)
         assert sorted(kids) == sorted(snap.children[v])
         assert sorted(kids) == [w for w in range(1, snap.size) if snap.parent[w] == v]
-        syms = [snap.locus(ch)[snap.depth[v]] for ch in kids]
-        assert syms == sorted(set(syms))
+        assert type(syms) is bytes
+        assert list(syms) == [snap.locus(ch)[snap.depth[v]] for ch in kids]
+        assert list(syms) == sorted(set(syms))
+        assert snap.children_by_symbol(v) is pair
 
 
 @given(strings)
