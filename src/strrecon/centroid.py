@@ -6,22 +6,24 @@ of size at most m/2 (Jordan). Decomposing recursively yields a tree over the
 same nodes whose height is O(log m); root-to-node paths in the original tree
 can then be binary-searched by walking the decomposition.
 
-The tree is given as child lists rooted at node 0 (node ids need not be in
-topological order, and child order does not matter). One breadth-first pass
-checks that the lists form a tree and derives every parent; its reverse
-computes every subtree size. Every component then has a unique shallowest
-node, its top, and a node's size counts only the part of its subtree inside
-its component. From the top, the walk to the centroid c follows the child
-holding more than half the component. A tree has at most two centroids; the
-second one can only be a child of c holding exactly half, and the smaller
-node id wins. Removing c leaves each live child of c on top of a component
-whose sizes are already right, and the parent side keeps its top once
-size[c] is subtracted along the path from parent(c) up to the top. A
-component left with one node is its own centroid and is placed at once
-(about half a suffix tree's nodes are leaves). Each walk and each path
-update stays inside one component, and a node lies in O(log m) components,
-so the whole decomposition takes O(m log m) (Della Giustina, Prezza and
-Venturini, SPIRE 2019, avoid even the log factor).
+The tree is given as child maps rooted at node 0, each mapping a key (in a
+suffix tree, the first edge symbol) to a child id; node ids need not be in
+topological order, and neither keys nor child order matter. The maps are read
+in place, so they must not change while a decomposition is incomplete. One
+breadth-first pass checks that they form a tree and derives every parent; its
+reverse computes every subtree size. Every component then has a unique
+shallowest node, its top, and a node's size counts only the part of its
+subtree inside its component. From the top, the walk to the centroid c
+follows the child holding more than half the component. A tree has at most
+two centroids; the second one can only be a child of c holding exactly half,
+and the smaller node id wins. Removing c leaves each live child of c on top
+of a component whose sizes are already right, and the parent side keeps its
+top once size[c] is subtracted along the path from parent(c) up to the top. A
+component left with one node is its own centroid and is placed at once (about
+half a suffix tree's nodes are leaves). Each walk and each path update stays
+inside one component, and a node lies in O(log m) components, so the whole
+decomposition takes O(m log m) (Della Giustina, Prezza and Venturini, SPIRE
+2019, avoid even the log factor).
 
 `CentroidTree.of` places only the root. Every other component waits until
 `component_of` is first asked for it: a component below a placed centroid c
@@ -51,7 +53,7 @@ class CentroidTree:
     balanced: bool             # every split produced components of size <= m/2
     placed: int = field(default=0, compare=False, repr=False)  # nodes placed so far
     # the tree's parents, and the placed components (key -> centroid); until
-    # complete(), its child lists, in-component sizes and the pending
+    # complete(), its child maps, in-component sizes and the pending
     # components (key -> top), keyed as in the module docstring
     _kids: list | None = field(default=None, compare=False, repr=False)
     _up: list | None = field(default=None, compare=False, repr=False)
@@ -64,11 +66,11 @@ class CentroidTree:
         return len(self.parent)
 
     @classmethod
-    def of(cls, kids: list[list[int]]) -> CentroidTree:
-        """The decomposition of the tree rooted at node 0 whose child lists
+    def of(cls, kids: list) -> CentroidTree:
+        """The decomposition of the tree rooted at node 0 whose child maps
         are kids, with only its root placed; raises ValueError unless they
-        form exactly one such tree. kids must not change while the tree is
-        incomplete."""
+        form exactly one such tree. kids is read in place and must not change
+        while the tree is incomplete."""
         m = len(kids)
         if m == 0:
             raise ValueError("cannot decompose an empty tree")
@@ -77,11 +79,11 @@ class CentroidTree:
         for v in order:
             kv = kids[v]
             if kv:
-                for w in kv:
+                for w in kv.values():
                     if not 0 < w < m or up[w] >= 0:
                         raise ValueError(f"child {w} of {v}: the root, out of range or seen twice")
                     up[w] = v
-                order += kv
+                    order.append(w)
         if len(order) != m:
             raise ValueError(f"{m - len(order)} nodes are unreachable from node 0")
         # size[v]: nodes of v's subtree inside v's current component; 0 once v
@@ -102,7 +104,7 @@ class CentroidTree:
         # walk down through the child holding more than half the component
         c = top
         while True:
-            for w in kids[c]:
+            for w in kids[c].values():
                 if size[w] > half:
                     c = w
                     break
@@ -110,12 +112,13 @@ class CentroidTree:
                 break
         # the only other possible centroid is a child of exactly half the
         # component; the smaller node id wins
-        for w in kids[c]:
+        for w in kids[c].values():
             if 2 * size[w] == msize:
                 c = min(c, w)
                 break
+        kc = kids[c].values()
         worst = msize - size[c]
-        for w in kids[c]:
+        for w in kc:
             if size[w] > worst:
                 worst = size[w]
         if worst > half:
@@ -128,7 +131,7 @@ class CentroidTree:
         size[c] = 0
         pending = self._pending
         ones = 0
-        for w in kids[c]:
+        for w in kc:
             sw = size[w]
             if sw == 1:  # a one-node component is its own centroid: place it now
                 size[w] = 0
@@ -188,8 +191,8 @@ class CentroidTree:
         return c
 
 
-def decompose(kids: list[list[int]]) -> CentroidTree:
-    """Centroid-decompose the tree rooted at node 0 whose child lists are
+def decompose(kids: list) -> CentroidTree:
+    """Centroid-decompose the tree rooted at node 0 whose child maps are
     kids, every component placed; raises ValueError unless they form exactly
     one such tree."""
     return CentroidTree.of(kids).complete()

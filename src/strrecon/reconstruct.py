@@ -73,10 +73,10 @@ def _max_true(pred, cap: int | None = None) -> int:
 
 
 def decompose_snapshot(snap: TreeSnapshot) -> CentroidTree:
-    """The centroid decomposition of one snapshot, as the LZ loop rebuilds
-    it: validated and sized, with only its root placed; `_phrase_search`
-    places the rest as it enters it (perfbench times this layer through this
-    name)."""
+    """The centroid decomposition of one snapshot's child maps, as the LZ
+    loop rebuilds it: validated and sized, with only its root placed;
+    `_phrase_search` places the rest as it enters it (perfbench times this
+    layer through this name)."""
     return CentroidTree.of(snap.children)
 
 
@@ -209,9 +209,11 @@ def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
     The suffix tree is read only through snapshots, so it is extended to
     the grown string only when a snapshot is due, with everything grown
     since the last one (Ukkonen's algorithm gives the same tree and node ids
-    however its input is chunked). Each snapshot's centroid decomposition
-    is placed only where the phrase searches enter it. Returns the number of
-    phrases emitted; the model holds the result. `records` collects
+    however its input is chunked). A snapshot is a view of the live tree,
+    valid until its next `extend`, and its decomposition reads the tree's
+    child maps until complete, so both are dropped first. Each decomposition
+    is placed only where the phrase searches enter it. Returns the number
+    of phrases emitted; the model holds the result. `records` collects
     (size, placed) per decomposition, for diagnostics: the snapshot's node
     count and the centroids placed in it, appended once the next snapshot
     replaces it or the phase ends.

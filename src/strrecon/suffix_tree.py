@@ -9,15 +9,18 @@ and suffix link; `extend` appends a new node's entries inline, one bound
 `append` per list. Ukkonen's algorithm creates leaves in increasing order of
 suffix start and never removes one, so the oldest leaf below a node marks the
 first occurrence of its locus; a split node takes it over from the child it
-splits, and a snapshot is a plain copy of the lists. Edge labels are not
-stored: the edge into v is text[first[v] + depth[parent[v]] : first[v] +
-depth[v]], running to the end of the text at a leaf, because first[v] starts
-an occurrence of locus(v).
+splits. Edge labels are not stored: the edge into v is text[first[v] +
+depth[parent[v]] : first[v] + depth[v]], running to the end of the text at a
+leaf, because first[v] starts an occurrence of locus(v).
 
 Ukkonen's algorithm never hangs a child under a leaf, so every leaf shares one
 read-only empty child map (`_LEAF_KIDS`), and that map is the only leaf
 marker: a leaf costs no dict, and a write to it would raise rather than
-corrupt the tree. Snapshots likewise give every leaf one shared empty tuple.
+corrupt the tree.
+
+A snapshot is a read-only view of the tree, valid until the next `extend`:
+it shares the parent, first-occurrence and child-map lists and builds only
+the text bytes and the string depths, which a leaf does not store.
 """
 from __future__ import annotations
 
@@ -28,23 +31,20 @@ from .text import Text
 
 # The child map of every leaf: empty, shared and read-only.
 _LEAF_KIDS = MappingProxyType({})
-# What TreeSnapshot.children_by_symbol answers for every leaf.
-_LEAF_PAIR: tuple[tuple[int, ...], bytes] = ((), b"")
 
 
 @dataclass
 class TreeSnapshot:
-    """Array copy of a suffix tree, indexed by node id.
-
-    ``first_occ[v]`` is the 0-based start of the first occurrence of
+    """Read-only view of a suffix tree, indexed by node id, valid until the
+    tree's next `extend`: parent, first_occ and children are the tree's own
+    lists. ``first_occ[v]`` is the 0-based start of the first occurrence of
     locus(v) in the text, so locus(v) == text[first_occ[v] : first_occ[v] +
-    depth[v]].
-    """
+    depth[v]]."""
 
     text: bytes
     depth: list[int]
     parent: list[int]
-    children: list[list[int] | tuple[int, ...]]  # per node: child ids in insertion order
+    children: list  # per node: first edge symbol -> child id
     first_occ: list[int]
     _by_symbol: dict[int, tuple[tuple[int, ...], bytes]] = field(
         default_factory=dict, compare=False, repr=False)
@@ -56,21 +56,13 @@ class TreeSnapshot:
     def children_by_symbol(self, v: int) -> tuple[tuple[int, ...], bytes]:
         """(children, symbols): the children of v in ascending order of
         their first edge symbols, and those symbols. Built on first request
-        and kept, since searches visit few nodes but the top ones often; every
-        leaf gets one shared empty pair."""
+        and kept, since searches visit few nodes but the top ones often."""
         pair = self._by_symbol.get(v)
         if pair is None:
             kids = self.children[v]
-            if not kids:
-                return _LEAF_PAIR
-            text, first, d = self.text, self.first_occ, self.depth[v]
-            kids = tuple(sorted(kids, key=lambda ch: text[first[ch] + d]))
-            pair = self._by_symbol[v] = (kids, bytes([text[first[ch] + d] for ch in kids]))
+            syms = bytes(sorted(kids))
+            pair = self._by_symbol[v] = (tuple(map(kids.__getitem__, syms)), syms)
         return pair
-
-    def locus(self, v: int) -> bytes:
-        f = self.first_occ[v]
-        return self.text[f : f + self.depth[v]]
 
 
 class SuffixTree:
@@ -219,10 +211,9 @@ class SuffixTree:
         return bytes(self.text[i - 1 : j])
 
     def snapshot(self) -> TreeSnapshot:
-        """Copy the current tree into arrays indexed by node id."""
+        """A read-only view of the tree, valid until the next `extend`."""
         n = len(self.text)
         leaf = _LEAF_KIDS
         depth = [n - f if kids is leaf else d
                  for d, f, kids in zip(self._depth, self._first, self._children)]
-        children = [list(kids.values()) if kids else () for kids in self._children]
-        return TreeSnapshot(bytes(self.text), depth, self._parent[:], children, self._first[:])
+        return TreeSnapshot(bytes(self.text), depth, self._parent, self._children, self._first)

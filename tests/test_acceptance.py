@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass
 
 from strrecon import (
-    CentroidTree,
     Oracle,
     SuffixTree,
     Text,
@@ -58,21 +57,23 @@ def _run(algo: str, hidden: Text, family: str, m: MeasureReport) -> RunRec:
     """One run. The LZ loop places only the centroids its searches enter, so
     every decomposition the run builds is captured through
     `reconstruct.decompose_snapshot` (rebound for the run, as perfbench
-    does), completed once the run ends and kept as (size, height, balanced)
-    for criterion 9; the trees themselves die with the call."""
-    built: list[CentroidTree] = []
+    does), completed when it is built and kept as (size, height, balanced)
+    for criterion 9. It must be completed then: it reads the live suffix
+    tree's child maps, which the next snapshot extends. The order of
+    placement cannot change a centroid, so the run asks the same queries."""
+    decompositions: list[tuple[int, int, bool]] = []
     build = reconstruct.decompose_snapshot
 
     def capture(snap):
-        built.append(build(snap))
-        return built[-1]
+        ct = build(snap).complete()
+        decompositions.append((ct.size, ct.height, ct.balanced))
+        return ct
 
     reconstruct.decompose_snapshot = capture
     try:
         rep = ALGORITHMS[algo](Oracle(hidden), hidden.sigma)
     finally:
         reconstruct.decompose_snapshot = build
-    decompositions = [(ct.size, ct.height, ct.balanced) for ct in map(CentroidTree.complete, built)]
     return RunRec(algo, family, m, rep, rep.recovered.symbols == hidden.symbols, decompositions)
 
 

@@ -11,15 +11,25 @@ from strrecon import CentroidTree, SuffixTree, decompose, generate
 from strrecon.reconstruct import decompose_snapshot
 
 
-def random_tree(m: int, rng: random.Random) -> list[list[int]]:
-    """Child lists of a random tree rooted at 0."""
+Kids = list[dict[int, int]]
+
+
+def tree(lists: list[list[int]]) -> Kids:
+    """The child maps of the tree whose child lists are lists, as a suffix
+    tree keeps them: each child keyed by its position, standing in for its
+    first edge symbol."""
+    return [dict(enumerate(ks)) for ks in lists]
+
+
+def random_tree(m: int, rng: random.Random) -> Kids:
+    """Child maps of a random tree rooted at 0."""
     kids: list[list[int]] = [[] for _ in range(m)]
     for v in range(1, m):
         kids[rng.randrange(v)].append(v)
-    return kids
+    return tree(kids)
 
 
-def relabel(kids: list[list[int]], rng: random.Random) -> list[list[int]]:
+def relabel(kids: Kids, rng: random.Random) -> Kids:
     """The same tree under a random permutation of the ids that fixes root 0,
     so a parent may get a larger id than its child (as split nodes do in a
     suffix tree)."""
@@ -27,18 +37,18 @@ def relabel(kids: list[list[int]], rng: random.Random) -> list[list[int]]:
     perm = [0] + rng.sample(range(1, m), m - 1)
     out: list[list[int]] = [[] for _ in range(m)]
     for v, ks in enumerate(kids):
-        out[perm[v]] = [perm[w] for w in ks]
-    return out
+        out[perm[v]] = [perm[w] for w in ks.values()]
+    return tree(out)
 
 
-def path(m: int) -> list[list[int]]:
-    return [[v + 1] for v in range(m - 1)] + [[]]
+def path(m: int) -> Kids:
+    return tree([[v + 1] for v in range(m - 1)] + [[]])
 
 
-def undirected(kids: list[list[int]]) -> list[list[int]]:
-    adj = [list(ks) for ks in kids]
+def undirected(kids: Kids) -> list[list[int]]:
+    adj = [list(ks.values()) for ks in kids]
     for v, ks in enumerate(kids):
-        for w in ks:
+        for w in ks.values():
             adj[w].append(v)
     return adj
 
@@ -52,10 +62,10 @@ def reference_component_of(ct: CentroidTree, u: int, v: int) -> int | None:
     return prev if cur == u else None
 
 
-def neighbour_pairs(kids: list[list[int]]):
+def neighbour_pairs(kids: Kids):
     """Every (u, v) with v a tree child or the tree parent of u."""
     for u, ks in enumerate(kids):
-        for w in ks:
+        for w in ks.values():
             yield u, w
             yield w, u
 
@@ -79,7 +89,7 @@ def brute_components(adj: list[list[int]], alive: set[int], c: int) -> list[set[
     return comps
 
 
-def check_decomposition(kids: list[list[int]]) -> None:
+def check_decomposition(kids: Kids) -> None:
     """Every structural invariant, verified with set arithmetic."""
     m = len(kids)
     adj = undirected(kids)
@@ -123,7 +133,7 @@ def check_decomposition(kids: list[list[int]]) -> None:
         assert ct.component_of(u, v) == reference_component_of(ct, u, v)
 
 
-def check_lazy_placement(kids: list[list[int]], rng: random.Random) -> None:
+def check_lazy_placement(kids: Kids, rng: random.Random) -> None:
     """Place components in a random order through the neighbour calls a
     phrase search makes, each answer checked against the full
     decomposition; then ask every neighbour pair of a placed node, complete
@@ -131,14 +141,14 @@ def check_lazy_placement(kids: list[list[int]], rng: random.Random) -> None:
     m = len(kids)
     up = [-1] * m
     for v, ks in enumerate(kids):
-        for w in ks:
+        for w in ks.values():
             up[w] = v
     full = decompose(kids)
     ct = CentroidTree.of(kids)
     reached = [ct.root]
     for _ in range(min(2 * m, 300)):
         u = rng.choice(reached)
-        near = [*kids[u], up[u]] if u else [*kids[u]]
+        near = [*kids[u].values(), up[u]] if u else [*kids[u].values()]
         if near:
             v = rng.choice(near)
             got = ct.component_of(u, v)
@@ -158,7 +168,7 @@ def check_lazy_placement(kids: list[list[int]], rng: random.Random) -> None:
 
 
 def test_single_node():
-    ct = decompose([[]])
+    ct = decompose(tree([[]]))
     assert ct.root == 0 and ct.height == 1 and ct.balanced
     assert reference_component_of(ct, 0, 0) is None
     with pytest.raises(ValueError):
@@ -167,7 +177,7 @@ def test_single_node():
 
 def test_empty_tree_rejected():
     with pytest.raises(ValueError):
-        decompose([])
+        decompose(tree([]))
 
 
 @pytest.mark.parametrize(
@@ -176,12 +186,13 @@ def test_empty_tree_rejected():
      [[1], [0]],            # the root listed as a child
      [[1], [], [3], [2]],   # nodes 2 and 3 form a cycle unreachable from 0
      [[1, 2], [2], [0]],    # both of the first two at once
-     [[1], [5]]],           # a child id out of range
-    ids=["twice", "root", "unreachable", "twice-and-root", "out-of-range"],
+     [[1], [5]],            # a child id out of range
+     [[1], [-1]]],          # a negative child id
+    ids=["twice", "root", "unreachable", "twice-and-root", "out-of-range", "negative"],
 )
 def test_malformed_trees_rejected(kids):
     with pytest.raises(ValueError):
-        decompose(kids)
+        decompose(tree(kids))
 
 
 def test_path_of_seven_picks_middle():
@@ -282,17 +293,17 @@ def test_component_of_rejects_pairs_that_are_not_placed_neighbours():
 
 def test_star_and_caterpillar():
     star = [list(range(1, 30))] + [[] for _ in range(29)]
-    check_decomposition(star)
-    cat = path(20) + [[] for _ in range(20)]
+    check_decomposition(tree(star))
+    cat = [[v + 1] for v in range(19)] + [[] for _ in range(21)]
     for v in range(20, 40):
         cat[v - 20].append(v)
-    check_decomposition(cat)
+    check_decomposition(tree(cat))
 
 
 @pytest.mark.parametrize(
     "kids, root, parent, depth, height",
     [([[1], []], 0, [-1, 0], [0, 1], 2),
-     (path(3), 1, [1, -1, 1], [1, 0, 1], 2),
+     ([[1], [2], []], 1, [1, -1, 1], [1, 0, 1], 2),
      ([[1, 2, 3, 4, 5], [], [], [], [], []], 0, [-1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 1, 1], 2),
      ([[1, 4], [2, 5], [3, 6], [7], [], [], [], []],
       1, [1, -1, 1, 2, 0, 1, 2, 3], [1, 0, 1, 2, 2, 1, 2, 3], 4)],
@@ -302,6 +313,7 @@ def test_one_node_components_at_the_deepest_level(kids, root, parent, depth, hei
     # one-node components are placed without a task of their own, so these
     # pins cover the depth and height they get there; on two nodes both are
     # centroids and 0 wins, on path-3 the root is left alone above the centroid
+    kids = tree(kids)
     ct = decompose(kids)
     assert (ct.root, ct.parent, ct.depth, ct.height, ct.balanced) == (root, parent, depth, height, True)
     check_decomposition(kids)
@@ -310,10 +322,10 @@ def test_one_node_components_at_the_deepest_level(kids, root, parent, depth, hei
 def test_suffix_tree_decomposition_is_logarithmic():
     rng = random.Random(9)
     s = bytes(rng.randint(1, 3) for _ in range(800))
-    tree = SuffixTree(3)
-    tree.extend(s)
-    ct = decompose(tree.snapshot().children)
-    assert ct.size == tree.node_count
+    stree = SuffixTree(3)
+    stree.extend(s)
+    ct = decompose(stree.snapshot().children)
+    assert ct.size == stree.node_count
     assert ct.balanced
     assert ct.height <= math.floor(math.log2(ct.size)) + 1
 
@@ -325,21 +337,22 @@ def test_suffix_tree_decomposition_is_logarithmic():
     ids=["random-2", "random-4", "random-26", "fibonacci", "runs3", "runs7"],
 )
 def test_snapshot_decomposition_matches_adjacency(text):
-    # snapshots list children in insertion order; the decomposition must equal
-    # that of the same tree rebuilt from the parent array with children
-    # sorted by first edge symbol, and of any other child order
-    tree = SuffixTree(text.sigma)
+    # snapshots map first edge symbols to children in insertion order; the
+    # decomposition must equal that of the same tree rebuilt from the parent
+    # array with children sorted by first edge symbol, and of any other
+    # child order
+    stree = SuffixTree(text.sigma)
     size = 1
     while True:
-        tree.extend(text.symbols[len(tree) : size])
-        snap = tree.snapshot()
+        stree.extend(text.symbols[len(stree) : size])
+        snap = stree.snapshot()
         by_symbol: list[list[int]] = [[] for _ in range(snap.size)]
         for v in range(1, snap.size):
             by_symbol[snap.parent[v]].append(v)
         for v, ks in enumerate(by_symbol):
             ks.sort(key=lambda ch, d=snap.depth[v]: snap.text[snap.first_occ[ch] + d])
         ct = decompose_snapshot(snap).complete()
-        assert ct == decompose(by_symbol) == decompose([ks[::-1] for ks in by_symbol])
+        assert ct == decompose(tree(by_symbol)) == decompose(tree([ks[::-1] for ks in by_symbol]))
         check_decomposition(snap.children)
         check_lazy_placement(snap.children, random.Random(size))
         if size >= len(text):

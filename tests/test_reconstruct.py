@@ -401,6 +401,37 @@ def test_lz_tree_is_extended_only_as_far_as_snapshots_read(algo, monkeypatch):
     assert unread > 0  # the last snapshot of a phase is older than its end
 
 
+@pytest.mark.parametrize("algo", [reconstruct_lz_substring, reconstruct_lz_prefix],
+                         ids=["lz-substring", "lz-prefix"])
+def test_phrase_search_reads_only_a_current_snapshot(algo, monkeypatch):
+    # a snapshot is a view of the live tree, valid until its next extend, so
+    # every phrase search must read one whose text and node count are still
+    # its tree's
+    snapshot, search = SuffixTree.snapshot, reconstruct._phrase_search
+    taken: list = []  # (snapshot, its tree), kept alive so ids stay unique
+    searches = 0
+
+    def recording_snapshot(self):
+        snap = snapshot(self)
+        taken.append((snap, self))
+        return snap
+
+    def checked_search(snap, ct, model):
+        nonlocal searches
+        (tree,) = [t for s, t in taken if s is snap]
+        assert snap.text == tree.text and snap.size == tree.node_count
+        searches += 1
+        return search(snap, ct, model)
+
+    monkeypatch.setattr(SuffixTree, "snapshot", recording_snapshot)
+    monkeypatch.setattr(reconstruct, "_phrase_search", checked_search)
+    for family, n, sigma in [("random", 300, 4), ("fibonacci", 233, 2), ("copy-paste(6)", 300, 3)]:
+        hidden = generate(family, n, sigma, seed=1)
+        rep = algo(Oracle(hidden), sigma)
+        assert rep.recovered.symbols == hidden.symbols
+    assert searches > len(taken)  # most searches read a snapshot taken before
+
+
 class _LoggingOracle(Oracle):
     """An oracle that also logs every query as kind, answer and letters,
     e.g. "P0abca" for a prefix query abca answered no."""

@@ -53,10 +53,11 @@ def test_contains_matches_brute_force(s):
 @given(strings)
 @settings(max_examples=250)
 def test_snapshot_loci_are_distinct_substrings(s):
-    snap = build(s, 3).snapshot()
+    tree = build(s, 3)
+    snap = tree.snapshot()
     seen = set()
     for v in range(snap.size):
-        loc = snap.locus(v)
+        loc = tree.locus(v)
         assert loc in s or loc == b""
         assert len(loc) == snap.depth[v]
         assert loc not in seen
@@ -67,7 +68,7 @@ def test_snapshot_loci_are_distinct_substrings(s):
         if v != 0:
             p = snap.parent[v]
             assert snap.depth[p] < snap.depth[v]
-            assert loc[: snap.depth[p]] == snap.locus(p)
+            assert loc[: snap.depth[p]] == tree.locus(p)
 
 
 @given(strings)
@@ -76,7 +77,7 @@ def test_first_occurrence_is_leftmost(s):
     tree = build(s, 3)
     snap = tree.snapshot()
     for v in range(snap.size):
-        loc = snap.locus(v)
+        loc = tree.locus(v)
         assert snap.first_occ[v] == s.find(loc)
         assert tree.locus_interval(v)[0] - 1 == s.find(loc)
 
@@ -84,16 +85,21 @@ def test_first_occurrence_is_leftmost(s):
 @given(strings)
 @settings(max_examples=250)
 def test_children_are_symbol_sorted_and_consistent(s):
-    # each node's children are exactly the nodes naming it as parent, and
-    # children_by_symbol orders them by their distinct first edge symbols
-    # and pairs them with those symbols, as bytes; a pair is built once
-    snap = build(s, 3).snapshot()
+    # the snapshot reads the tree's own child maps; each node's children are
+    # exactly the nodes naming it as parent, and children_by_symbol orders
+    # them by their distinct first edge symbols and pairs them with those
+    # symbols, as bytes, as the live map files them; a pair is built once
+    tree = build(s, 3)
+    snap = tree.snapshot()
+    assert snap.children is tree._children
     for v in range(snap.size):
         kids, syms = pair = snap.children_by_symbol(v)
-        assert sorted(kids) == sorted(snap.children[v])
+        live = tree._children[v]
+        assert syms == bytes(sorted(live))
+        assert kids == tuple(live[c] for c in syms)
         assert sorted(kids) == [w for w in range(1, snap.size) if snap.parent[w] == v]
         assert type(syms) is bytes
-        assert list(syms) == [snap.locus(ch)[snap.depth[v]] for ch in kids]
+        assert list(syms) == [tree.locus(ch)[snap.depth[v]] for ch in kids]
         assert list(syms) == sorted(set(syms))
         assert snap.children_by_symbol(v) is pair
 
@@ -151,19 +157,17 @@ def test_loci_of_a_deep_tree():
 @given(strings)
 @settings(max_examples=150)
 def test_online_build_matches_batch_build(s):
+    # a snapshot, taken after each append, equals that of a batch build, so
+    # first_occ kept up online does too; a snapshot is a view valid until
+    # the next append, so each is compared when it is taken
     online = SuffixTree(3)
-    kept = []
     for i, c in enumerate(s):
         online.extend((c,))
         prefix = s[: i + 1]
         for q in all_substrings(prefix):
             assert online.contains(q)
-        kept.append(online.snapshot())
+        assert online.snapshot() == build(prefix, 3).snapshot()
     assert online.node_count == build(s, 3).node_count
-    # later appends (and their splits) leave earlier snapshots untouched,
-    # and first_occ kept up online equals that of a batch build
-    for i, snap in enumerate(kept):
-        assert snap == build(s[: i + 1], 3).snapshot()
 
 
 @given(strings, st.lists(st.integers(min_value=0, max_value=9), max_size=12))
