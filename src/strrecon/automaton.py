@@ -1,10 +1,11 @@
 """Suffix automaton: a linear-size index of all substrings of a string.
 
-Transitions are stored once, as one ``array("i")`` row per state indexed by
-symbol value; every row is ``max(data) + 1`` slots wide, and 0 means "no
-transition" (the root is never a target). Besides the rows, a build keeps one
-``array("i")`` column, filled as it builds: the end position of each state's
-first occurrence.
+Transitions are stored once, as one ``dict`` per state mapping a symbol to
+its target state; a symbol with no key has no transition. Memory therefore
+follows the transitions (at most 3n - 4, Blumer et al. 1985), not the
+alphabet, and a dict of ints is never tracked by the garbage collector.
+Besides the dicts, a build keeps one ``array("i")`` column, filled as it
+builds: the end position of each state's first occurrence.
 
 One build serves every reader of the same string: :mod:`strrecon.measures`,
 which also needs, for every substring, the end position of its first
@@ -39,8 +40,7 @@ class SuffixAutomaton:
     def __init__(self, data: bytes):
         SuffixAutomaton._last = None  # let the last build go before this one
         data = bytes(data)
-        empty = array("i", [0]) * (max(data, default=0) + 1)
-        nxt = [empty[:]]
+        nxt: list[dict[int, int]] = [{}]
         # suffix links, lengths and first-occurrence ends; only the last is kept
         link = [-1]
         length = [0]
@@ -48,12 +48,12 @@ class SuffixAutomaton:
         last = 0
         for pos, c in enumerate(data):
             cur = len(nxt)
-            nxt.append(empty[:])
+            nxt.append({})
             link.append(0)
             length.append(pos + 1)
             first.append(pos)  # a new state first ends here
             p = last
-            while p >= 0 and not nxt[p][c]:
+            while p >= 0 and c not in nxt[p]:
                 nxt[p][c] = cur
                 p = link[p]
             if p >= 0:
@@ -62,17 +62,17 @@ class SuffixAutomaton:
                     link[cur] = q
                 else:
                     clone = len(nxt)
-                    nxt.append(nxt[q][:])
+                    nxt.append(nxt[q].copy())
                     link.append(link[q])
                     length.append(length[p] + 1)
                     first.append(first[q])  # a clone first ends where q does
-                    while p >= 0 and nxt[p][c] == q:
+                    while p >= 0 and nxt[p].get(c) == q:
                         nxt[p][c] = clone
                         p = link[p]
                     link[q] = link[cur] = clone
             last = cur
         self.data = data
-        self.next: list[array] = nxt
+        self.next = nxt
         self._min_end = array("i", first)
         SuffixAutomaton._last = self
 

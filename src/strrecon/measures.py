@@ -97,8 +97,8 @@ def _parse(syms: bytes, sam: SuffixAutomaton, allow_overlap: bool) -> list[tuple
         l = 0
         j = i
         while j < n:
-            cand = nxt[state][syms[j]]
-            if not cand:
+            cand = nxt[state].get(syms[j])
+            if cand is None:
                 break
             if allow_overlap:
                 # some occurrence of syms[i:j+1] must start before i

@@ -78,11 +78,10 @@ class Oracle:
 
 class _Right:
     """Substring queries known + t: t is walked from the state of known in the
-    suffix automaton of the hidden string (Blumer et al. 1985), reading its
-    transition rows as they are: nxt[s][c], 0 for no transition (the root is
-    never a target), and no transition for a symbol at or past the row width.
-    The automaton is fetched, and known walked, when the cursor is made.
-    State -1 means known does not occur."""
+    suffix automaton of the hidden string (Blumer et al. 1985), whose state s
+    has the transition dict nxt[s]: c -> target, with no key for no
+    transition. The automaton is fetched, and known walked, when the cursor
+    is made. State -1 means known does not occur."""
 
     __slots__ = ("_o", "_known", "_nxt", "_state")
 
@@ -97,13 +96,10 @@ class _Right:
         if s < 0:
             return s
         nxt = self._nxt
-        width = len(nxt[0])
         for c in t:
-            if c >= width:
-                return -1
-            s = nxt[s][c]
-            if not s:
-                return -1
+            s = nxt[s].get(c, -1)
+            if s < 0:
+                return s
         return s
 
     def probe(self, t) -> bool:
@@ -113,27 +109,15 @@ class _Right:
         st.total_queried_symbols += length
         if length > st.max_query_length:
             st.max_query_length = length
-        s = self._state
-        if s < 0:
-            return False
-        nxt = self._nxt
-        try:  # a symbol at or past the row width has no transition
-            for c in t:
-                s = nxt[s][c]
-                if not s:
-                    return False
-        except IndexError:
-            return False
-        return True
+        return self._walk(self._state, t) >= 0
 
     def first(self, symbols, mid=b"") -> int:
         i = -1
-        s = self._walk(self._state, mid) if mid else self._state
+        s = self._walk(self._state, mid)
         if s >= 0:
             row = self._nxt[s]
-            width = len(row)
             for j, c in enumerate(symbols):
-                if c < width and row[c]:
+                if c in row:
                     i = j
                     break
         times = i + 1 or len(symbols)

@@ -100,11 +100,10 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
       locus(child) only when that edge has one symbol;
     - a point inside an edge is asked at most once: after leaving u through
       a child, the walk stays below that child.
-    So a node's extensions are one `first` call, except at a node with a
-    one-symbol child whose locus the walk asked first. That answer was
-    false (a true locus sends the walk below it for good), so the other
-    children are probed one by one around it. An empty result means every
-    symbol in the snapshot was asked.
+    So a node's extensions are one `first` call over its children, less the
+    one-symbol children whose loci the walk asked first: those answers were
+    false, since a true locus sends the walk below it for good. An empty
+    result means every symbol in the snapshot was asked.
     """
     probe, first = model.probe, model.first
     text, depth, first_occ, parent = snap.text, snap.depth, snap.first_occ, snap.parent
@@ -117,16 +116,11 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
         loc == locus(u), asked in ascending symbol order; -1 when none does."""
         kids, syms = by_symbol(u)
         gone = failed.get(u)
-        ch = -1
-        if gone is None:
-            i = first(syms, loc) if kids else -1
-            if i >= 0:
-                ch = kids[i]
-        else:
-            for v, c in zip(kids, syms):
-                if v not in gone and probe(loc + _SYMBOLS[c]):
-                    ch = v
-                    break
+        if gone:
+            kids = [v for v in kids if v not in gone]
+            syms = bytes(text[first_occ[v] + depth[u]] for v in kids)
+        i = first(syms, loc) if kids else -1
+        ch = kids[i] if i >= 0 else -1
         if ch >= 0 and depth[ch] == depth[u] + 1:
             seen[ch] = True  # its locus was the query that found it
         return ch

@@ -2,8 +2,10 @@
 build that measure() and the oracle's right cursors share."""
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,10 +26,8 @@ def walk(sam: SuffixAutomaton, t) -> int | None:
     """The state reached from the root by reading t, or None."""
     s = 0
     for c in t:
-        if c >= len(sam.next[s]):
-            return None
-        s = sam.next[s][c]
-        if not s:
+        s = sam.next[s].get(c)
+        if s is None:
             return None
     return s
 
@@ -38,13 +38,16 @@ def endpos(s: bytes, u: bytes) -> frozenset[int]:
 
 
 def check_against_brute_force(s: bytes) -> None:
-    """State count, row width, walks of every string of length <= 4 over the
-    symbols of s plus 0 and max(s) + 1, one state per endpos class, and the
-    first-occurrence end of every state."""
+    """State and transition counts, untracked transition dicts, walks of
+    every string of length <= 4 over the symbols of s plus 0 and max(s) + 1,
+    one state per endpos class, and the first-occurrence end of every
+    state."""
     sam = SuffixAutomaton(s)
     states = len(sam.next)
     assert states <= 2 * len(s) - 1
-    assert {len(row) for row in sam.next} == {max(s) + 1}
+    if len(s) >= 3:
+        assert sum(map(len, sam.next)) <= 3 * len(s) - 4
+    assert not any(map(gc.is_tracked, sam.next))
     substrings = {s[i:j] for i in range(len(s)) for j in range(i + 1, len(s) + 1)}
     # one state per endpos class, plus the root
     assert states == 1 + len({endpos(s, u) for u in substrings})
@@ -76,6 +79,24 @@ def test_empty_and_single_symbol():
     sam = SuffixAutomaton(b"\x03")
     assert len(sam.next) == 2 and walk(sam, b"\x03") == 1
     assert walk(sam, b"\x03\x03") is None and walk(sam, b"\x02") is None
+
+
+@pytest.mark.parametrize("sigma", [2, 26, 255])
+def test_build_memory_follows_the_transitions(sigma):
+    """A build over random text holds at most 700 traced bytes per symbol,
+    whatever the alphabet: its transition dicts grow with the transitions,
+    not with sigma."""
+    n = 10**4
+    rng = random.Random(sigma)
+    s = bytes(rng.randint(1, sigma) for _ in range(n))
+    tracemalloc.start()
+    try:
+        sam = SuffixAutomaton(s)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(sam.next) > n
+    assert held <= 700 * n, f"{held / n:.0f} bytes per symbol"
 
 
 # ------------------------------------------------------------- shared build

@@ -166,9 +166,10 @@ def test_cursors_match_brute_force_on_the_canonical_query(data):
     # forward or reversed, or free strings with symbols 0 and sigma + 1
     # (never in the hidden string): verified or not, unique or not, empty
     # or not; first() steps try symbol lists in any order, with duplicates,
-    # empty, and with symbols at or past a right cursor's row width (sigma
-    # may lie above the hidden string's largest symbol), after a mid that is
-    # empty, a true extension or free
+    # empty, and with symbols that have no transition anywhere in a right
+    # cursor's automaton (0, and above the hidden string's largest symbol,
+    # which sigma may exceed), after a mid that is empty, a true extension or
+    # free
     top = data.draw(st.integers(min_value=1, max_value=3))
     s = bytes(data.draw(st.lists(st.integers(1, top), min_size=1, max_size=40)))
     sigma = top + data.draw(st.sampled_from([0, 0, 1, 2]))

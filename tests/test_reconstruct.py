@@ -296,12 +296,12 @@ def test_phrase_search_asks_around_a_child_whose_locus_was_asked():
     # over the tree of known = bbbba the walk first asks the centroid bb (no),
     # then the root's extensions a, b in one first() call: b extends, and b
     # is also the locus of a node, which is therefore not asked again; of
-    # that node's children ba and bb, the locus bb was asked already, so only
-    # ba is probed, on its own
+    # that node's children ba and bb, the locus bb was asked already, so the
+    # one first() call at that node tries only a, asking ba
     known = from_letters("bbbba")
     model = _CallLog(cursor(Oracle(from_letters("bbbbab")), "prefix", known.symbols))
     assert to_letters(phrase_search(known, model)) == "b"
-    assert model.calls == [("probe", "bb", False), ("first", "", "ab", 1), ("probe", "ba", False)]
+    assert model.calls == [("probe", "bb", False), ("first", "", "ab", 1), ("first", "b", "a", -1)]
 
 
 def test_max_true_exact_over_small_domain():
