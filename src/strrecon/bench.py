@@ -224,22 +224,24 @@ def parse_sweep(textio) -> list[dict]:
 
 
 def run_experiments(sweep: list[dict], log=sys.stderr) -> list[ExperimentRow]:
-    rows: list[ExperimentRow] = []
-    cache: dict[tuple, tuple[Text, MeasureReport]] = {}
-    for exp in sweep:
-        key = (exp["family"], exp["n"], exp["sigma"], exp["seed"])
-        if key in cache:
-            hidden, rep = cache[key]
-        else:
-            hidden = generate(exp["family"], exp["n"], exp["sigma"], exp["seed"])
-            rep = measure(hidden)
-            cache[key] = (hidden, rep)
-        row = run_one(exp["algo"], hidden, family=exp["family"], report=rep)
-        if log is not None:
-            floors = " ".join(f"{k}={v:.0f}" for k, v in reference_floors(rep).items())
-            print(f"# {row.algo} {row.family} n={row.n} sigma={row.sigma} {floors}", file=log)
-        rows.append(row)
-    return rows
+    """Rows and stderr lines in the sweep's order; each string's experiments run
+    right after its measure(), so right cursors reuse its suffix automaton."""
+    by_string: dict[tuple, list[int]] = {}
+    for i, exp in enumerate(sweep):
+        by_string.setdefault((exp["family"], exp["n"], exp["sigma"], exp["seed"]), []).append(i)
+    done: dict[int, tuple[ExperimentRow, str]] = {}
+    for (family, n, sigma, seed), runs in by_string.items():
+        hidden = generate(family, n, sigma, seed)
+        rep = measure(hidden)
+        floors = " ".join(f"{k}={v:.0f}" for k, v in reference_floors(rep).items())
+        for i in runs:
+            row = run_one(sweep[i]["algo"], hidden, family=family, report=rep)
+            done[i] = row, f"# {row.algo} {row.family} n={row.n} sigma={row.sigma} {floors}"
+    ordered = [done[i] for i in range(len(sweep))]
+    if log is not None:
+        for _, note in ordered:
+            print(note, file=log)
+    return [row for row, _ in ordered]
 
 
 def _cell(value) -> str:

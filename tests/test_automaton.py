@@ -3,6 +3,7 @@ build that measure() and the oracle's right cursors share."""
 from __future__ import annotations
 
 import gc
+import io
 import itertools
 import random
 import tracemalloc
@@ -13,11 +14,13 @@ from strrecon import (
     Oracle,
     generate,
     measure,
+    parse_sweep,
     reconstruct_lz_substring,
     reconstruct_naive,
     reconstruct_rle,
 )
 from strrecon.automaton import SuffixAutomaton
+from strrecon.bench import run_experiments
 
 RIGHT_CURSOR_ALGOS = (reconstruct_naive, reconstruct_rle, reconstruct_lz_substring)
 
@@ -123,6 +126,19 @@ def test_measure_then_right_cursors_build_once(builds):
     for algo in RIGHT_CURSOR_ALGOS:
         assert algo(Oracle(t), t.sigma).recovered.symbols == t.symbols
     assert builds == [t.symbols]
+
+
+def test_a_cli_sweep_builds_once_per_string(builds):
+    # the sweep lists algo outermost; every right cursor must still reuse
+    # the build measure() made of its string
+    sweep = parse_sweep(io.StringIO(
+        "algo=naive,rle,lz-substring,lz-prefix family=random n=200 sigma=16 repeat=3\n"))
+    log = io.StringIO()
+    rows = run_experiments(sweep, log=log)
+    assert builds == [generate("random", 200, 16, seed).symbols for seed in range(3)]
+    assert [r.algo for r in rows] == [exp["algo"] for exp in sweep]
+    assert all(r.exact and r.bound_ok for r in rows)
+    assert [line.split()[1] for line in log.getvalue().splitlines()] == [r.algo for r in rows]
 
 
 def test_a_different_string_builds_again(builds):

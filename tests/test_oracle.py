@@ -317,3 +317,37 @@ def test_plain_oracle_reconstructs_without_building_full_queries(algo, monkeypat
     for family, n, sigma in CASES:
         hidden = generate(family, n, sigma, seed=5)
         assert algo(Oracle(hidden), sigma).recovered == hidden
+
+
+class _NoIter(list):
+    """A symbol list that may be searched but not iterated."""
+
+    def __iter__(self):
+        raise AssertionError("first() iterated over its symbols")
+
+
+@pytest.mark.parametrize("family, n", [("periodic", 1000), ("random", 300)])
+def test_right_first_over_255_symbols_matches_full_queries(family, n):
+    # state 0 has a transition for every symbol of the string, a long
+    # verified known one; symbol lists as bytes and as lists, ascending,
+    # shuffled, with duplicates and with symbols the string lacks (0 always,
+    # about a third of them in the random string)
+    hidden = generate(family, n, 255, seed=9)
+    s = hidden.symbols
+    rng = random.Random(9)
+    shuffled = list(range(256))
+    rng.shuffle(shuffled)
+    absent = [c for c in range(256) if c not in s]
+    lists = [list(range(256)), shuffled, shuffled[:40] * 2 + shuffled, absent,
+             absent + shuffled[::3], [s[-1]] * 3]
+    for known in (b"", s[100:260], s[-200:]):
+        native_o, full_o = Oracle(hidden), Oracle(hidden)
+        right = cursor(native_o, "right", known)
+        full = cursor(_PassThrough(full_o), "right", known)
+        at = s.find(known) + len(known)
+        for mid in (b"", s[at : at + 7], b"\x00", s[at : at + 3] + b"\x00"):
+            for tried in lists:
+                for native, plain in ((tried, tried), (bytes(tried), bytes(tried)),
+                                      (_NoIter(tried), tried)):
+                    assert right.first(native, mid) == full.first(plain, mid), (known, mid, tried)
+                    assert native_o.stats() == full_o.stats()
