@@ -1,9 +1,9 @@
 """The query oracle: substring/prefix membership over a hidden string.
 
 Reconstruction code only ever sees an :class:`Oracle`; the hidden string is
-never exposed. Every query is counted, including repeated identical ones: a
-native cursor's ``probe`` and ``first`` charge themselves, so that each is
-one Python call, and every other query is charged through ``Oracle._count``.
+never exposed. Every query is counted, including repeated identical ones:
+each query method and each native cursor's ``probe`` and ``first`` update the
+oracle's stats in place, so that each is one Python call.
 """
 from __future__ import annotations
 
@@ -46,30 +46,26 @@ class Oracle:
     def __len__(self) -> int:
         return len(self._hidden)
 
-    def _count(self, kind: str, length: int) -> None:
-        """Charge one query of `kind` ("substring" or "prefix") of `length`
-        symbols."""
-        st = self._stats
-        if kind == "prefix":
-            st.prefix_queries += 1
-        else:
-            st.substring_queries += 1
-        st.total_queried_symbols += length
-        if length > st.max_query_length:
-            st.max_query_length = length
-
     def contains_substring(self, q) -> bool:
         """Is q a substring of the hidden string? q may be Text or bytes-like."""
         if isinstance(q, Text):
             q = q.symbols
-        self._count("substring", len(q))
+        st = self._stats
+        st.substring_queries += 1
+        st.total_queried_symbols += len(q)
+        if len(q) > st.max_query_length:
+            st.max_query_length = len(q)
         return self._hidden.find(q) >= 0
 
     def is_prefix(self, q) -> bool:
         """Is q a prefix of the hidden string?"""
         if isinstance(q, Text):
             q = q.symbols
-        self._count("prefix", len(q))
+        st = self._stats
+        st.prefix_queries += 1
+        st.total_queried_symbols += len(q)
+        if len(q) > st.max_query_length:
+            st.max_query_length = len(q)
         return self._hidden.startswith(q)
 
     def stats(self) -> QueryStats:

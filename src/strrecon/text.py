@@ -20,7 +20,7 @@ class Text:
     def __post_init__(self) -> None:
         if not 1 <= self.sigma <= MAX_SIGMA:
             raise ValueError(f"sigma must be in [1, {MAX_SIGMA}], got {self.sigma}")
-        if self.symbols and not all(1 <= s <= self.sigma for s in set(self.symbols)):
+        if self.symbols and not 1 <= min(self.symbols) <= max(self.symbols) <= self.sigma:
             raise ValueError("symbols must lie in [1..sigma]")
 
     def __len__(self) -> int:

@@ -6,11 +6,12 @@ them). A single well-chosen substring query splits a candidate set into
 fractions between 1/5 and 4/5, so the hidden string is found with O(|C(S)|)
 queries by running the halving strategy under an exponentially growing
 budget. The machinery is exponential in n and capped accordingly: each
-length keeps its 2^n strings and their code lengths, and a query's
-membership mask is built only when a splitter search reads it. At the cap
-n = 16, reconstructing ten random strings under each compressor takes about
-2.3 s (2-core x86 VM, Python 3.11), mostly computing the 2^17 code lengths,
-and peaks at 25 MB of RSS, 9 MB above an idle interpreter.
+length keeps its 2^n strings and their code lengths, a query's membership
+mask is built only when a splitter search reads it, and each candidate set
+is split once. At the cap n = 16, reconstructing ten random strings under
+each compressor takes about 0.9 s (2-core x86 VM, Python 3.11.7), mostly
+computing the 2^17 code lengths, and peaks at 24.8 MB of RSS, 8.5 MB above
+an idle interpreter that has imported strrecon.
 
 The reverse direction also holds: any deterministic reconstruction
 algorithm is a compressor, its code being the sequence of oracle answers it
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from typing import Protocol, Sequence
 from weakref import WeakKeyDictionary
 
@@ -43,6 +45,18 @@ class Compressor(Protocol):
     def decompress(self, bits: Sequence[int]) -> Text: ...
 
 
+# symbol 1 or 2, and ASCII "0" or "1", to the bit 0 or 1
+_TO_BITS = bytes.maketrans(b"\x01\x0201", b"\x00\x01\x00\x01")
+_RUNS = re.compile(rb"\x01+|\x02+")
+
+
+@functools.lru_cache(maxsize=64)
+def _gamma(r: int) -> str:
+    """The Elias gamma code of r >= 1 as 0/1 digits: r in binary, after
+    floor(log2 r) zeros, which is r zero-padded to 2 * bit_length - 1."""
+    return f"{r:0{2 * r.bit_length() - 1}b}"
+
+
 def _check_bits(bits: Sequence[int]) -> None:
     """The one check every decompress makes: a code holds only 0s and 1s."""
     if not set(bits) <= {0, 1}:
@@ -55,9 +69,9 @@ class IdentityBits:
     name = "identity"
 
     def compress(self, t: Text) -> tuple[int, ...]:
-        if any(s > 2 for s in t.symbols):
+        if t.symbols.translate(None, b"\x01\x02"):
             raise ValueError("binary input required")
-        return tuple(s - 1 for s in t.symbols)
+        return tuple(t.symbols.translate(_TO_BITS))
 
     def decompress(self, bits: Sequence[int]) -> Text:
         if not bits:
@@ -66,16 +80,8 @@ class IdentityBits:
         return Text(bytes(b + 1 for b in bits), 2)
 
 
-def elias_gamma(r: int) -> tuple[int, ...]:
-    """Prefix-free code for r >= 1: floor(log2 r) zeros, then r in binary."""
-    if r < 1:
-        raise ValueError("gamma codes start at 1")
-    body = tuple(int(c) for c in bin(r)[2:])
-    return (0,) * (len(body) - 1) + body
-
-
 def elias_gamma_decode(bits: Sequence[int], pos: int) -> tuple[int, int]:
-    """(value, next position) for the gamma code starting at pos."""
+    """(value, next position) for the gamma code (see _gamma) starting at pos."""
     z = 0
     while pos + z < len(bits) and bits[pos + z] == 0:
         z += 1
@@ -98,18 +104,10 @@ class RunLengthBits:
         syms = t.symbols
         if not syms:
             raise ValueError("empty input")
-        if any(s > 2 for s in syms):
+        if syms.translate(None, b"\x01\x02"):
             raise ValueError("binary input required")
-        bits = [syms[0] - 1]
-        run = 1
-        for prev, cur in itertools.pairwise(syms):
-            if cur == prev:
-                run += 1
-            else:
-                bits.extend(elias_gamma(run))
-                run = 1
-        bits.extend(elias_gamma(run))
-        return tuple(bits)
+        gammas = "".join(map(_gamma, map(len, _RUNS.findall(syms))))
+        return (syms[0] - 1, *gammas.encode().translate(_TO_BITS))
 
     def decompress(self, bits: Sequence[int]) -> Text:
         if not bits:
@@ -127,6 +125,19 @@ class RunLengthBits:
         return Text(bytes(out), 2)
 
 
+class _Step:
+    """One split of a candidate set of more than _BASE_CASE strings: its
+    query, its split_log entry (size, kept, flagged), the set's mask, the
+    query's mask, and links to the yes and no children, each filled on first
+    use (see _Universe.follow)."""
+
+    __slots__ = ("query", "entry", "mask", "qmask", "yes", "no")
+
+    def __init__(self, query: bytes, entry: tuple[int, int, bool], mask: int, qmask: int):
+        self.query, self.entry, self.mask, self.qmask = query, entry, mask, qmask
+        self.yes = self.no = None
+
+
 class _Universe:
     """Per-n tables. String i has the bits of i (MSB first) as symbols 1/2.
     A query of length l is named by its value v, read MSB first the same
@@ -134,11 +145,12 @@ class _Universe:
     masks holds, by (l, v), the membership bitmask over the 2^n strings of
     each query a splitter search has read; none is built before a search
     reads it, so the searches of all 4096 strings of length 12, under both
-    bundled compressors, build 405 of the 8190 masks. memo maps a candidate
-    mask to its splitter, so hidden strings of one length share the
-    searches."""
+    bundled compressors, build 405 of the 8190 masks. steps maps each
+    candidate set that gets split to its _Step, so hidden strings of one
+    length share each splitter search, and a run that reaches a set again
+    follows the step's links instead of re-deriving its split."""
 
-    __slots__ = ("n", "strings", "combs", "masks", "memo")
+    __slots__ = ("n", "strings", "combs", "masks", "steps")
 
     def __init__(self, n: int):
         self.n = n
@@ -149,7 +161,33 @@ class _Universe:
             combs.append(combs[-1] | combs[-1] << (1 << (n - 1 - a)))
         self.combs = combs
         self.masks: dict[tuple[int, int], tuple[bytes, int]] = {}
-        self.memo: dict[int, tuple[bytes, int, bool]] = {}
+        self.steps: dict[int, _Step] = {}
+
+    def node(self, m: int) -> _Step | list[int]:
+        """The step of the candidate set m, made on its first split; a set of
+        at most _BASE_CASE strings is a base case instead: the list of its
+        members' indices, ascending, which is never keyed."""
+        size = m.bit_count()
+        if size <= _BASE_CASE:
+            members = []
+            while m:
+                members.append((m & -m).bit_length() - 1)
+                m &= m - 1
+            return members
+        step = self.steps.get(m)
+        if step is None:
+            q, qmask, flagged = _select_splitter(self.n, m)
+            entry = (size, (m & qmask).bit_count(), flagged)
+            step = self.steps[m] = _Step(q, entry, m, qmask)
+        return step
+
+    def follow(self, step: _Step, yes) -> _Step | list[int]:
+        """Fill the yes (or no) link of step, which is still empty."""
+        if yes:
+            child = step.yes = self.node(step.mask & step.qmask)
+        else:
+            child = step.no = self.node(step.mask & ~step.qmask)
+        return child
 
     def walk(self, m_mask: int):
         """(query, mask, count) for each query occurring in at least one of
@@ -231,27 +269,20 @@ def _select_splitter(n: int, m_mask: int) -> tuple[bytes, int, bool]:
     Only a single candidate gets the flag: in a larger set, a query shorter
     than n that occurs in more than 4/5 of it has a one-symbol extension,
     left or right, occurring in a quarter of those, so in more than 1/5.
-    Memoized per candidate set, so hidden strings share it."""
-    uni = _universe(n)
-    hit = uni.memo.get(m_mask)
-    if hit is not None:
-        return hit
+    It keeps no result: _Universe.node calls it once per set and keeps the step."""
     msize = m_mask.bit_count()
     lo = -(-msize // 5)
     hi = (4 * msize) // 5
     best = None
     best_score = None
-    for q, qmask, cnt in uni.walk(m_mask):
+    for q, qmask, cnt in _universe(n).walk(m_mask):
         if lo <= cnt <= hi:
-            res = (q, qmask, False)
-            uni.memo[m_mask] = res
-            return res
+            return q, qmask, False
         score = abs(2 * cnt - msize)
         if best_score is None or score < best_score:
             best = (q, qmask, True)
             best_score = score
     assert best is not None
-    uni.memo[m_mask] = best
     return best
 
 
@@ -273,26 +304,20 @@ def reconstruct_universal(o, n: int, c: Compressor) -> ReconstructionReport:
             f"the hidden string is not binary of length {n}"
         )
     uni = _universe(n)
-    code_len, max_k, _ = _code_table(c, n)
+    code_len, max_k, masks = _code_table(c, n)
     contains = o.contains_substring
     split_log: list[tuple[int, int, bool]] = []
     rounds = 0
     tau = 1
     while True:
         rounds += 1
-        m = _candidate_mask(c, n, tau)
-        size = m.bit_count()
-        while size > _BASE_CASE:
-            q, qmask, flagged = _select_splitter(n, m)
-            kept = m & qmask
-            kept_size = kept.bit_count()
-            split_log.append((size, kept_size, flagged))
-            if contains(q):
-                m, size = kept, kept_size
-            else:
-                m, size = m & ~qmask, size - kept_size
-        while m:
-            i = (m & -m).bit_length() - 1
+        node = uni.node(masks[tau] if tau in masks else _candidate_mask(c, n, tau))
+        while type(node) is _Step:
+            split_log.append(node.entry)
+            yes = contains(node.query)
+            child = node.yes if yes else node.no
+            node = uni.follow(node, yes) if child is None else child
+        for i in node:
             if contains(uni.strings[i]):  # length-n substring query == equality test
                 return ReconstructionReport(
                     recovered=Text(uni.strings[i], 2),
@@ -306,7 +331,6 @@ def reconstruct_universal(o, n: int, c: Compressor) -> ReconstructionReport:
                         "split_log": split_log,
                     },
                 )
-            m &= m - 1
         if tau >= max_k:
             raise ReconstructionError(
                 f"no length-{n} candidate verified even with the full code "

@@ -100,6 +100,36 @@ def test_bytearray_and_text_queries_accepted():
     assert o.is_prefix(Text(b"\x01", 1))
 
 
+class _Super(Oracle):
+    """Answers through the base class, as a transcript-hashing subclass does."""
+
+    __slots__ = ()
+
+    def contains_substring(self, q) -> bool:
+        return super().contains_substring(q)
+
+    def is_prefix(self, q) -> bool:
+        return super().is_prefix(q)
+
+
+def test_direct_query_counts_are_identical_through_super_and_for_text():
+    rng = random.Random(4)
+    hidden = mk(bytes(rng.randint(1, 3) for _ in range(50)), 3)
+    asked = [bytes(rng.randint(1, 3) for _ in range(rng.randint(0, 12))) for _ in range(300)]
+    ways = [(Oracle(hidden), bytes), (_Super(hidden), bytes), (Oracle(hidden), bytearray),
+            (Oracle(hidden), lambda q: Text(q, 3)), (_Super(hidden), lambda q: Text(q, 3))]
+    answers = []
+    for o, wrap in ways:
+        answers.append([(o.contains_substring(wrap(q)), o.is_prefix(wrap(q))) for q in asked])
+    assert all(a == answers[0] for a in answers)
+    assert answers[0] == [(q in hidden.symbols, hidden.symbols.startswith(q)) for q in asked]
+    want = ways[0][0].stats()
+    assert want.substring_queries == want.prefix_queries == len(asked)
+    assert want.total_queried_symbols == 2 * sum(map(len, asked))
+    assert want.max_query_length == max(map(len, asked))
+    assert all(o.stats() == want for o, _ in ways)
+
+
 def test_long_extension_sequences_match_brute_force():
     # long queries sharing one core, extended on both sides, interleaved
     # with unrelated probes

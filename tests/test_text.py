@@ -20,6 +20,17 @@ def test_validation():
     assert len(Text(b"", 1)) == 0
 
 
+@pytest.mark.parametrize("sigma", [1, 2, 26, MAX_SIGMA])
+def test_validation_reads_every_symbol(sigma):
+    # a long valid run of every symbol, then one bad symbol at the very end
+    body = bytes(range(1, sigma + 1)) * (5000 // sigma + 1)
+    assert Text(body, sigma).symbols == body
+    for bad in (0, sigma + 1):
+        if bad <= 255:
+            with pytest.raises(ValueError, match=r"symbols must lie in \[1\.\.sigma\]"):
+                Text(body + bytes([bad]), sigma)
+
+
 def test_letters_round_trip():
     t = from_letters("aZb")
     assert t.symbols == b"\x01\x1a\x02" and t.sigma == 26

@@ -36,8 +36,8 @@ from strrecon.universal import (
     DEFAULT_CAP,
     _candidate_mask,
     _select_splitter,
+    _Step,
     _Universe,
-    elias_gamma,
     elias_gamma_decode,
 )
 
@@ -73,7 +73,31 @@ class ConstantCode:
         raise ValueError("not injective")
 
 
+def elias_gamma(r: int) -> tuple[int, ...]:
+    """Reference gamma code for r >= 1: floor(log2 r) zeros, then r in binary."""
+    body = tuple(int(c) for c in bin(r)[2:])
+    return (0,) * (len(body) - 1) + body
+
+
 # ---------------------------------------------------------------- compressors
+
+def test_compressors_match_a_per_symbol_reference():
+    for n in range(1, 13):
+        for t in all_binary(n):
+            syms = t.symbols
+            assert IdentityBits().compress(t) == tuple(s - 1 for s in syms)
+            code = [syms[0] - 1]
+            for _, run in itertools.groupby(syms):
+                code += elias_gamma(len(list(run)))
+            assert RunLengthBits().compress(t) == tuple(code)
+    for comp in (IdentityBits(), RunLengthBits()):
+        for bad in (b"\x01\x03", b"\x03" * 40, b"\x02" * 39 + b"\x03"):
+            with pytest.raises(ValueError, match="binary input required"):
+                comp.compress(Text(bad, 3))
+    assert IdentityBits().compress(Text(b"", 2)) == ()
+    with pytest.raises(ValueError, match="empty input"):
+        RunLengthBits().compress(Text(b"", 2))
+
 
 def test_identity_round_trip_and_length():
     for n in range(1, 9):
@@ -133,8 +157,6 @@ def test_elias_gamma_round_trip():
     assert pos == len(stream)
     assert elias_gamma(1) == (1,)
     assert elias_gamma(2) == (0, 1, 0)
-    with pytest.raises(ValueError):
-        elias_gamma(0)
     with pytest.raises(ValueError):
         elias_gamma_decode((0, 0, 1), 0)
 
@@ -289,6 +311,74 @@ def test_only_a_single_candidate_gets_a_flagged_splitter():
             q, qmask, flagged = _select_splitter(n, mask_of([t]))
             # the first of its substrings, shortest then lexicographic
             assert flagged and q == bytes([min(t.symbols)]) and qmask >> index(t) & 1
+
+
+# ------------------------------------------------------------- step table
+
+def walk_steps(uni: _Universe, node, seen: set[int]) -> None:
+    """Check every step below node against the pure splitter, filling both
+    links; a base case lists its members in ascending index order."""
+    if type(node) is not _Step:
+        assert node == sorted(set(node))
+        assert all(0 <= i < 1 << uni.n for i in node)
+        assert len(node) <= universal._BASE_CASE
+        return
+    m = node.mask
+    assert uni.steps[m] is node
+    q, qmask, flagged = _select_splitter(uni.n, m)
+    assert (node.query, node.qmask) == (q, qmask)
+    assert node.entry == (m.bit_count(), (m & qmask).bit_count(), flagged)
+    if m in seen:
+        return
+    seen.add(m)
+    for yes, child_mask in ((True, m & qmask), (False, m & ~qmask)):
+        child = uni.follow(node, yes)
+        assert child is (node.yes if yes else node.no)
+        if type(child) is _Step:
+            assert child.mask == child_mask and child is uni.node(child_mask)
+        else:
+            assert sum(1 << i for i in child) == child_mask
+        walk_steps(uni, child, seen)
+
+
+def test_split_steps_equal_the_pure_splitter_and_its_children():
+    rng = random.Random(11)
+    for n in range(3, 9):
+        uni = _Universe(n)
+        seen: set[int] = set()
+        for _ in range(25):
+            m = rng.getrandbits(1 << n) & rng.getrandbits(1 << n)
+            walk_steps(uni, uni.node(m), seen)
+        # only sets that get split are keys: base cases never are
+        assert all(k.bit_count() > universal._BASE_CASE for k in uni.steps)
+        assert set(uni.steps) == seen
+
+
+def test_a_base_case_lists_its_members_in_ascending_order():
+    uni = _Universe(6)
+    assert uni.node(0) == []
+    for members in ([5], [63, 0, 17], [1, 2, 3, 40, 60]):
+        assert uni.node(sum(1 << i for i in members)) == sorted(members)
+    assert uni.steps == {}
+
+
+def test_a_second_pass_reads_the_step_table_without_searching(monkeypatch):
+    n = 8
+
+    def run_all():
+        return [(rep.recovered, rep.stats, rep.extras)
+                for comp in COMPRESSORS.values() for hidden in all_binary(n)
+                for rep in [reconstruct_universal(Oracle(hidden), n, comp)]]
+
+    first = run_all()
+    uni = universal._universe(n)
+    steps, masks = dict(uni.steps), dict(uni.masks)
+    searches = []
+    pure = universal._select_splitter
+    monkeypatch.setattr(universal, "_select_splitter", lambda *a: searches.append(a) or pure(*a))
+    assert run_all() == first
+    assert searches == []
+    assert uni.steps == steps and uni.masks == masks
 
 
 # ------------------------------------------------- universal reconstruction
