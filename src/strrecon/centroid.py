@@ -10,10 +10,11 @@ The tree is given as child maps rooted at node 0, each mapping a key (in a
 suffix tree, the first edge symbol) to a child id; node ids need not be in
 topological order, and neither keys nor child order matter. The maps are read
 in place, so they must not change while a decomposition is incomplete. One
-breadth-first pass checks that they form a tree and derives every parent; its
-reverse computes every subtree size. Every component then has a unique
-shallowest node, its top, and a node's size counts only the part of its
-subtree inside its component. From the top, the walk to the centroid c
+breadth-first pass checks that they form a tree and inverts them into every
+node's tree parent, kept as `tree_parent`, the one parent list a suffix-tree
+search reads; its reverse computes every subtree size. Every component then
+has a unique shallowest node, its top, and a node's size counts only the part
+of its subtree inside its component. From the top, the walk to the centroid c
 follows the child holding more than half the component. A tree has at most
 two centroids; the second one can only be a child of c holding exactly half,
 and the smaller node id wins. Removing c leaves each live child of c on top
@@ -51,12 +52,14 @@ class CentroidTree:
     depth: list[int]           # centroid-tree depth per node
     height: int                # of the placed part
     balanced: bool             # every split produced components of size <= m/2
+    # the decomposed tree's parent per node, -1 at node 0: the inverse of
+    # its child maps, kept after complete()
+    tree_parent: list[int] = field(compare=False, repr=False)
     placed: int = field(default=0, compare=False, repr=False)  # nodes placed so far
-    # the tree's parents, and the placed components (key -> centroid); until
-    # complete(), its child maps, in-component sizes and the pending
-    # components (key -> top), keyed as in the module docstring
+    # the placed components (key -> centroid); until complete(), the child
+    # maps, in-component sizes and the pending components (key -> top), keyed
+    # as in the module docstring
     _kids: list | None = field(default=None, compare=False, repr=False)
-    _up: list | None = field(default=None, compare=False, repr=False)
     _size: list | None = field(default=None, compare=False, repr=False)
     _pending: dict = field(default_factory=dict, compare=False, repr=False)
     _found: dict = field(default_factory=dict, compare=False, repr=False)
@@ -91,14 +94,14 @@ class CentroidTree:
         size = [1] * m
         for v in reversed(order[1:]):
             size[up[v]] += size[v]
-        ct = cls(0, [-1] * m, [-1] * m, 0, True, 0, kids, up, size)
+        ct = cls(0, [-1] * m, [-1] * m, 0, True, up, 0, kids, size)
         ct.root = ct._place(0, -1)
         return ct
 
     def _place(self, top: int, above: int) -> int:
         """Place the centroid of the pending component whose top is `top`
         under centroid `above` (-1 for the root); return it."""
-        kids, size, up = self._kids, self._size, self._up
+        kids, size, up = self._kids, self._size, self.tree_parent
         msize = size[top]
         half = msize // 2
         # walk down through the child holding more than half the component
@@ -161,7 +164,7 @@ class CentroidTree:
     def complete(self) -> CentroidTree:
         """Place every pending component, each stored under its key as
         `component_of` stores it; returns self."""
-        pending, up, found = self._pending, self._up, self._found
+        pending, up, found = self._pending, self.tree_parent, self._found
         while pending:
             key, top = pending.popitem()
             found[key] = self._place(top, up[key] if key > 0 else ~key)
@@ -175,7 +178,7 @@ class CentroidTree:
         pair. A neighbour placed deeper than u lies in the component u left
         on its side, which this method or complete() placed, or is v alone.
         """
-        depth, up = self.depth, self._up
+        depth, up = self.depth, self.tree_parent
         if not (0 <= u < len(depth) and 0 <= v < len(depth) and depth[u] >= 0
                 and (up[v] == u or up[u] == v)):
             raise ValueError(f"({u}, {v}): u must be placed and v a tree neighbour of u")

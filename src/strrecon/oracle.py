@@ -244,16 +244,16 @@ def cursor(o, side: str, known: bytes = b""):
     Only an object whose class is exactly Oracle gets a native cursor, which
     keeps the match state of known and charges its own queries: a probe takes
     time linear in t; ``first`` takes time linear in ``mid`` plus the reached
-    automaton state's transitions, each looked up in ``symbols``, on the right
-    side, and one compare and one lookup in ``symbols`` on the prefix side; it
-    never iterates over ``symbols``. The native left cursor is the prefix
-    cursor over the reversed hidden string, so it serves a `known` that occurs
-    nowhere or only as a prefix, the only kind a left phase starts from; any
-    other `known` gets the full-query cursor below, on a plain Oracle too. Any
-    other object (a wrapper, or a subclass that overrides the query methods)
-    is asked each full query as new bytes, in order and ``first`` included,
-    through its contains_substring or is_prefix, with the same answers and
-    counts, and may keep it.
+    automaton state's transitions (fewer than three on average), each looked
+    up in ``symbols``, on the right side, and one compare and one lookup in
+    ``symbols`` on the prefix side; it never iterates over ``symbols``. The
+    native left cursor is the prefix cursor over the reversed hidden string,
+    so it serves a `known` that occurs nowhere or only as a prefix, the only
+    kind a left phase starts from; any other `known` gets the full-query
+    cursor below, on a plain Oracle too. Any other object (a wrapper, or a
+    subclass that overrides the query methods) is asked each full query as new
+    bytes, in order and ``first`` included, through its contains_substring or
+    is_prefix, with the same answers and counts, and may keep it.
     """
     if side not in _SIDES:
         raise ValueError(f"unknown cursor side {side!r}; expected one of {', '.join(_SIDES)}")

@@ -88,7 +88,7 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
     locus(u); a verified node is left through the suffix-tree child whose
     first edge symbol still extends, found by one model.first(symbols,
     locus(u)) call (<= sigma queries, ascending), an unverified one through
-    its suffix-tree parent's component; `ct.component_of` places a
+    its suffix-tree parent `ct.tree_parent[u]`; `ct.component_of` places a
     component's centroid the first time any search enters it. The deepest
     verified node is then extended, from the child the walk found for it,
     along at most one partial edge with an exponential search.
@@ -106,7 +106,7 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
     result means every symbol in the snapshot was asked.
     """
     probe, first = model.probe, model.first
-    text, depth, first_occ, parent = snap.text, snap.depth, snap.first_occ, snap.parent
+    text, depth, first_occ, parent = snap.text, snap.depth, snap.first_occ, ct.tree_parent
     by_symbol = snap.children_by_symbol
     seen: dict[int, bool] = {0: True}  # node -> the answer for locus(node)
     failed: dict[int, list[int]] = {}  # node -> its one-symbol children whose loci were false

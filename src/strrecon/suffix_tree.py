@@ -3,15 +3,17 @@
 No terminal sentinel is ever appended: the tree is the implicit suffix tree,
 so suffixes that are proper prefixes of other suffixes have no leaf.
 
-The live tree is kept in five flat per-node lists indexed by node id
-(creation order, root 0): parent, string depth, first occurrence, child map
-and suffix link; `extend` appends a new node's entries inline, one bound
-`append` per list. Ukkonen's algorithm creates leaves in increasing order of
-suffix start and never removes one, so the oldest leaf below a node marks the
-first occurrence of its locus; a split node takes it over from the child it
-splits. Edge labels are not stored: the edge into v is text[first[v] +
-depth[parent[v]] : first[v] + depth[v]], running to the end of the text at a
-leaf, because first[v] starts an occurrence of locus(v).
+The live tree is kept in four flat per-node lists indexed by node id
+(creation order, root 0): string depth, first occurrence, child map and
+suffix link; `extend` appends a new node's entries inline, one bound
+`append` per list. No parent is kept, since Ukkonen's algorithm never reads
+one; `CentroidTree.tree_parent` inverts the child maps. Ukkonen's algorithm
+creates leaves in increasing order of suffix start and never removes one, so
+the oldest leaf below a node marks the first occurrence of its locus; a split
+node takes it over from the child it splits. Edge labels are not stored: the
+edge from u into its child v is text[first[v] + depth[u] : first[v] +
+depth[v]], running to the end of the text at a leaf, because first[v] starts
+an occurrence of locus(v).
 
 Ukkonen's algorithm never hangs a child under a leaf, so every leaf shares one
 read-only empty child map (`_LEAF_KIDS`), and that map is the only leaf
@@ -19,8 +21,8 @@ marker: a leaf costs no dict, and a write to it would raise rather than
 corrupt the tree.
 
 A snapshot is a read-only view of the tree, valid until the next `extend`:
-it shares the parent, first-occurrence and child-map lists and builds only
-the text bytes and the string depths, which a leaf does not store.
+it shares the first-occurrence and child-map lists and builds only the text
+bytes and the string depths, which a leaf does not store.
 """
 from __future__ import annotations
 
@@ -36,14 +38,12 @@ _LEAF_KIDS = MappingProxyType({})
 @dataclass
 class TreeSnapshot:
     """Read-only view of a suffix tree, indexed by node id, valid until the
-    tree's next `extend`: parent, first_occ and children are the tree's own
-    lists. ``first_occ[v]`` is the 0-based start of the first occurrence of
-    locus(v) in the text, so locus(v) == text[first_occ[v] : first_occ[v] +
-    depth[v]]."""
+    tree's next `extend`: first_occ and children are the tree's own lists.
+    ``first_occ[v]`` is the 0-based start of the first occurrence of locus(v)
+    in the text, so locus(v) == text[first_occ[v] : first_occ[v] + depth[v]]."""
 
     text: bytes
     depth: list[int]
-    parent: list[int]
     children: list  # per node: first edge symbol -> child id
     first_occ: list[int]
     _by_symbol: dict[int, tuple[tuple[int, ...], bytes]] = field(
@@ -73,7 +73,6 @@ class SuffixTree:
             raise ValueError("sigma must be >= 1")
         self.sigma = sigma
         self.text = bytearray()
-        self._parent = [-1]
         self._depth = [0]        # string depth; unused for leaves (see string_depth)
         self._first = [0]        # start of the first occurrence of the locus
         self._children: list = [{}]  # first edge symbol -> child id; _LEAF_KIDS at leaves
@@ -88,7 +87,7 @@ class SuffixTree:
 
     @property
     def node_count(self) -> int:
-        return len(self._parent)
+        return len(self._first)
 
     def extend(self, chunk) -> None:
         """Append the symbols of chunk in order, with Ukkonen's algorithm."""
@@ -96,12 +95,11 @@ class SuffixTree:
         if chunk and not (min(chunk) >= 1 and max(chunk) <= self.sigma):
             raise ValueError(f"symbols {min(chunk)}..{max(chunk)} out of range [1..{self.sigma}]")
         text = self.text
-        parent, depth, first = self._parent, self._depth, self._first
-        children, slink = self._children, self._slink
-        add_parent, add_depth, add_first = parent.append, depth.append, first.append
+        depth, first, children, slink = self._depth, self._first, self._children, self._slink
+        add_depth, add_first = depth.append, first.append
         add_kids, add_slink = children.append, slink.append
         leaf_kids = _LEAF_KIDS
-        nodes = len(parent)  # id of the next node
+        nodes = len(first)  # id of the next node
         active_node, active_edge, active_len = self._active_node, self._active_edge, self._active_len
         remainder = self._remainder
         for c in chunk:
@@ -117,7 +115,6 @@ class SuffixTree:
                 child = children[node].get(a_sym)
                 if child is None:
                     children[node][a_sym] = nodes
-                    add_parent(node)
                     add_depth(0)
                     add_first(pos - depth[node])
                     add_kids(leaf_kids)
@@ -144,18 +141,15 @@ class SuffixTree:
                     split = nodes
                     split_depth = dn + active_len
                     children[node][a_sym] = split
-                    add_parent(node)
                     add_depth(split_depth)
                     add_first(first[child])
                     add_kids({c: split + 1, text[cs + active_len]: child})
                     add_slink(0)
-                    add_parent(split)
                     add_depth(0)
                     add_first(pos - split_depth)
                     add_kids(leaf_kids)
                     add_slink(0)
                     nodes += 2
-                    parent[child] = split
                     if last_internal:
                         slink[last_internal] = split
                     last_internal = split
@@ -216,4 +210,4 @@ class SuffixTree:
         leaf = _LEAF_KIDS
         depth = [n - f if kids is leaf else d
                  for d, f, kids in zip(self._depth, self._first, self._children)]
-        return TreeSnapshot(bytes(self.text), depth, self._parent, self._children, self._first)
+        return TreeSnapshot(bytes(self.text), depth, self._children, self._first)

@@ -7,8 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strrecon import CentroidTree, SuffixTree, decompose, generate
-from strrecon.reconstruct import decompose_snapshot
+from strrecon import CentroidTree, Oracle, SuffixTree, decompose, generate, reconstruct
+from strrecon.reconstruct import decompose_snapshot, reconstruct_lz_prefix, reconstruct_lz_substring
 
 
 Kids = list[dict[int, int]]
@@ -43,6 +43,15 @@ def relabel(kids: Kids, rng: random.Random) -> Kids:
 
 def path(m: int) -> Kids:
     return tree([[v + 1] for v in range(m - 1)] + [[]])
+
+
+def tree_parents(kids: Kids) -> list[int]:
+    """Each node's tree parent, -1 at the root: the inverse of the child maps."""
+    up = [-1] * len(kids)
+    for v, ks in enumerate(kids):
+        for w in ks.values():
+            up[w] = v
+    return up
 
 
 def undirected(kids: Kids) -> list[list[int]]:
@@ -137,14 +146,13 @@ def check_lazy_placement(kids: Kids, rng: random.Random) -> None:
     """Place components in a random order through the neighbour calls a
     phrase search makes, each answer checked against the full
     decomposition; then ask every neighbour pair of a placed node, complete
-    the tree, compare it field for field and ask every neighbour pair again."""
+    the tree, compare it field for field and ask every neighbour pair again.
+    tree_parent, the one parent list, inverts the child maps throughout."""
     m = len(kids)
-    up = [-1] * m
-    for v, ks in enumerate(kids):
-        for w in ks.values():
-            up[w] = v
+    up = tree_parents(kids)
     full = decompose(kids)
     ct = CentroidTree.of(kids)
+    assert ct.tree_parent == full.tree_parent == up
     reached = [ct.root]
     for _ in range(min(2 * m, 300)):
         u = rng.choice(reached)
@@ -162,7 +170,7 @@ def check_lazy_placement(kids: Kids, rng: random.Random) -> None:
         if ct.depth[u] >= 0:
             assert ct.component_of(u, v) == reference_component_of(full, u, v)
     assert ct.complete() == full
-    assert ct.placed == m
+    assert ct.placed == m and ct.tree_parent == up
     for u, v in neighbour_pairs(kids):
         assert ct.component_of(u, v) == reference_component_of(full, u, v)
 
@@ -338,17 +346,18 @@ def test_suffix_tree_decomposition_is_logarithmic():
 )
 def test_snapshot_decomposition_matches_adjacency(text):
     # snapshots map first edge symbols to children in insertion order; the
-    # decomposition must equal that of the same tree rebuilt from the parent
-    # array with children sorted by first edge symbol, and of any other
-    # child order
+    # decomposition must equal that of the same tree rebuilt from the parents
+    # the child maps give, with children sorted by first edge symbol, and of
+    # any other child order
     stree = SuffixTree(text.sigma)
     size = 1
     while True:
         stree.extend(text.symbols[len(stree) : size])
         snap = stree.snapshot()
         by_symbol: list[list[int]] = [[] for _ in range(snap.size)]
-        for v in range(1, snap.size):
-            by_symbol[snap.parent[v]].append(v)
+        for v, p in enumerate(tree_parents(snap.children)):
+            if p >= 0:
+                by_symbol[p].append(v)
         for v, ks in enumerate(by_symbol):
             ks.sort(key=lambda ch, d=snap.depth[v]: snap.text[snap.first_occ[ch] + d])
         ct = decompose_snapshot(snap).complete()
@@ -358,3 +367,30 @@ def test_snapshot_decomposition_matches_adjacency(text):
         if size >= len(text):
             break
         size = min(2 * size, len(text))
+
+
+@pytest.mark.parametrize("algo", [reconstruct_lz_substring, reconstruct_lz_prefix],
+                         ids=["lz-substring", "lz-prefix"])
+@pytest.mark.parametrize(
+    "text", [generate("random", 200, 2, 4), generate("fibonacci", 200, 2), generate("random", 80, 26, 5)],
+    ids=["random-2", "fibonacci", "random-26"])
+def test_tree_parent_of_every_lz_snapshot_inverts_its_child_maps(algo, text, monkeypatch):
+    # every decomposition an LZ run builds is checked when it is built, while
+    # the snapshot's child maps are still the live tree's: before complete()
+    # and after it (completing early cannot change a centroid, so the run
+    # asks the same queries and stays exact)
+    build = reconstruct.decompose_snapshot
+    checked = []
+
+    def capture(snap):
+        up = tree_parents(snap.children)
+        ct = build(snap)
+        assert ct.tree_parent == up and up[0] == -1
+        assert ct.complete().tree_parent == up
+        checked.append(snap.size)
+        return ct
+
+    monkeypatch.setattr(reconstruct, "decompose_snapshot", capture)
+    rep = algo(Oracle(text), text.sigma)
+    assert rep.recovered == text
+    assert len(checked) == len(rep.extras["decompositions"]) > 1

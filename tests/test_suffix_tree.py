@@ -16,6 +16,15 @@ def build(s: bytes, sigma: int) -> SuffixTree:
     return tree
 
 
+def tree_parents(children: list) -> list[int]:
+    """Each node's parent, -1 at the root: the inverse of the child maps."""
+    up = [-1] * len(children)
+    for v, kids in enumerate(children):
+        for w in kids.values():
+            up[w] = v
+    return up
+
+
 def all_substrings(s: bytes) -> set[bytes]:
     return {s[i:j] for i in range(len(s)) for j in range(i, len(s) + 1)}
 
@@ -55,6 +64,7 @@ def test_contains_matches_brute_force(s):
 def test_snapshot_loci_are_distinct_substrings(s):
     tree = build(s, 3)
     snap = tree.snapshot()
+    parent = tree_parents(snap.children)
     seen = set()
     for v in range(snap.size):
         loc = tree.locus(v)
@@ -66,7 +76,7 @@ def test_snapshot_loci_are_distinct_substrings(s):
         f = snap.first_occ[v]
         assert s[f : f + snap.depth[v]] == loc
         if v != 0:
-            p = snap.parent[v]
+            p = parent[v]
             assert snap.depth[p] < snap.depth[v]
             assert loc[: snap.depth[p]] == tree.locus(p)
 
@@ -85,19 +95,19 @@ def test_first_occurrence_is_leftmost(s):
 @given(strings)
 @settings(max_examples=250)
 def test_children_are_symbol_sorted_and_consistent(s):
-    # the snapshot reads the tree's own child maps; each node's children are
-    # exactly the nodes naming it as parent, and children_by_symbol orders
+    # the snapshot reads the tree's own child maps, so every node but the
+    # root is some node's child exactly once; children_by_symbol orders
     # them by their distinct first edge symbols and pairs them with those
     # symbols, as bytes, as the live map files them; a pair is built once
     tree = build(s, 3)
     snap = tree.snapshot()
     assert snap.children is tree._children
+    assert sorted(w for kids in snap.children for w in kids.values()) == list(range(1, snap.size))
     for v in range(snap.size):
         kids, syms = pair = snap.children_by_symbol(v)
         live = tree._children[v]
         assert syms == bytes(sorted(live))
         assert kids == tuple(live[c] for c in syms)
-        assert sorted(kids) == [w for w in range(1, snap.size) if snap.parent[w] == v]
         assert type(syms) is bytes
         assert list(syms) == [tree.locus(ch)[snap.depth[v]] for ch in kids]
         assert list(syms) == sorted(set(syms))
@@ -197,8 +207,9 @@ def test_edges_derive_from_first_occurrence_and_depth(s, cuts):
     for k in cuts + [len(s)]:
         tree.extend(s[len(tree) : len(tree) + k])
         text = bytes(tree.text)
+        parent = tree_parents(tree._children)
         for v in range(1, tree.node_count):
-            p, f = tree._parent[v], tree._first[v]
+            p, f = parent[v], tree._first[v]
             edge = text[f + tree.string_depth(p) : f + tree.string_depth(v)]
             assert edge
             assert tree._children[p][edge[0]] == v
@@ -206,11 +217,11 @@ def test_edges_derive_from_first_occurrence_and_depth(s, cuts):
 
 
 def check_leaves(tree: SuffixTree) -> None:
-    """The leaves are the nodes no node names as parent; they start exactly
+    """The leaves are the nodes that are no node's parent; they start exactly
     the suffixes that occur once, each holds the shared empty child map,
     which stayed empty and read-only, and no query runs on past a leaf."""
     text = bytes(tree.text)
-    leaves = set(range(tree.node_count)) - set(tree._parent)
+    leaves = set(range(tree.node_count)) - set(tree_parents(tree._children))
     assert leaves
     assert leaves == {v for v in range(tree.node_count) if tree.is_leaf(v)}
     assert sorted(tree._first[v] for v in leaves) == [
