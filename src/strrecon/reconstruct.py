@@ -52,7 +52,8 @@ class ReconstructionReport:
 
 
 def _max_true(pred, cap: int | None = None) -> int:
-    """Largest l with pred(l) true, for monotone pred with pred(1) true.
+    """Largest l (at most cap, if given) with pred(l) true, for monotone
+    pred with pred(1) true; raises ValueError when cap < 1 leaves no l.
 
     Doubles from 1 until failure (or past `cap`), then bisects:
     at most 2*ceil(log2(answer)) + 2 calls.
@@ -62,6 +63,8 @@ def _max_true(pred, cap: int | None = None) -> int:
         lo = hi
         hi *= 2
     if cap is not None and hi > cap:
+        if cap < 1:
+            raise ValueError(f"cap {cap} < 1: no length to search")
         hi = cap + 1  # pred is unknown on (lo, cap]; treat cap+1 as false
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -84,14 +87,16 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
     """Longest t spelled by a root path of the (snapshotted) suffix tree
     such that model.probe(t) holds; b"" when not even one symbol extends.
 
-    Walks the centroid tree: at each visited node u, one query verifies
-    locus(u); a verified node is left through the suffix-tree child whose
-    first edge symbol still extends, found by one model.first(symbols,
-    locus(u)) call (<= sigma queries, ascending), an unverified one through
-    its suffix-tree parent `ct.tree_parent[u]`; `ct.component_of` places a
-    component's centroid the first time any search enters it. The deepest
-    verified node is then extended, from the child the walk found for it,
-    along at most one partial edge with an exponential search.
+    One loop walks the centroid tree and then the last partial edge. At each
+    visited node u, one query verifies locus(u). A verified node is left
+    through the suffix-tree child whose first edge symbol still extends,
+    found by one model.first(symbols, locus(u)) call (<= sigma queries,
+    ascending); an unverified one is left through its suffix-tree parent
+    `ct.tree_parent[u]`. `ct.component_of` places a component's centroid the
+    first time any search enters it. A walk that fails at every node climbs
+    to node 0, whose locus b"" holds, so it always verifies one. Once it
+    leaves the decomposition, the deepest verified node is extended from the
+    child picked for it, one edge at a time, each by an exponential search.
 
     Each distinct t is asked at most once, with no memo of query strings.
     Every t is a point on a root path of the snapshot, and:
@@ -105,55 +110,49 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
     false, since a true locus sends the walk below it for good. An empty
     result means every symbol in the snapshot was asked.
     """
-    probe, first = model.probe, model.first
+    probe, first, component_of = model.probe, model.first, ct.component_of
     text, depth, first_occ, parent = snap.text, snap.depth, snap.first_occ, ct.tree_parent
     by_symbol = snap.children_by_symbol
     seen: dict[int, bool] = {0: True}  # node -> the answer for locus(node)
     failed: dict[int, list[int]] = {}  # node -> its one-symbol children whose loci were false
-
-    def extending_child(u: int, loc: bytes) -> int:
-        """The child of u with the smallest first edge symbol that extends
-        loc == locus(u), asked in ascending symbol order; -1 when none does."""
-        kids, syms = by_symbol(u)
-        gone = failed.get(u)
-        if gone:
-            kids = [v for v in kids if v not in gone]
-            syms = bytes(text[first_occ[v] + depth[u]] for v in kids)
-        i = first(syms, loc) if kids else -1
-        ch = kids[i] if i >= 0 else -1
-        if ch >= 0 and depth[ch] == depth[u] + 1:
-            seen[ch] = True  # its locus was the query that found it
-        return ch
-
-    best, found, nxt = 0, b"", None  # the deepest verified node, its locus, its extending child
-    u: int | None = ct.root
-    while u is not None:
-        f = first_occ[u]
-        loc = text[f : f + depth[u]]  # locus(u)
-        ok = seen.get(u)
-        if ok is None:
-            ok = seen[u] = probe(loc)
-        if ok:
-            best, found, nxt = u, loc, extending_child(u, loc)
-            if nxt < 0:
+    u: int | None = ct.root  # the next centroid to visit; None once the walk leaves
+    best, found, nxt = 0, b"", -1  # the deepest verified node, its locus, its extending child
+    while True:
+        if u is not None:
+            f = first_occ[u]
+            loc = text[f : f + depth[u]]  # locus(u)
+            ok = seen.get(u)
+            if ok is None:
+                ok = seen[u] = probe(loc)
+            if not ok:
+                p = parent[u]
+                if depth[u] == depth[p] + 1:
+                    failed.setdefault(p, []).append(u)
+                u = component_of(u, p)
+                continue
+            best, found, nxt = u, loc, -1
+        d = depth[best]
+        if nxt < 0:  # pick best's extending child: the smallest symbol that extends
+            kids, syms = by_symbol(best)
+            gone = failed.get(best)
+            if gone:
+                kids = [v for v in kids if v not in gone]
+                syms = bytes(text[first_occ[v] + d] for v in kids)
+            i = first(syms, found) if kids else -1
+            if i < 0:
                 return found
-            u = ct.component_of(u, nxt)
-        else:
-            p = parent[u]
-            if depth[u] == depth[p] + 1:
-                failed.setdefault(p, []).append(u)
-            u = ct.component_of(u, p)
-    if nxt is None:  # the walk verified no node, so it never asked at the root
-        nxt = extending_child(0, b"")
-    while nxt >= 0:
-        f, d, e = first_occ[nxt], depth[best], depth[nxt]
+            nxt = kids[i]
+            if depth[nxt] == d + 1:
+                seen[nxt] = True  # its locus was the query that found it
+            if u is not None:
+                u = component_of(u, nxt)
+                continue
+        f, e = first_occ[nxt], depth[nxt]
         a = seen.get(nxt)  # the answer for locus(nxt), if the walk asked it
         k = _max_true(lambda l: probe(text[f : f + d + l]) if a is None or d + l < e else a, cap=e - d)
         if d + k < e:
             return text[f : f + d + k]
-        found = text[f : f + e]
-        best, nxt = nxt, extending_child(nxt, found)
-    return found
+        best, found, nxt = nxt, text[f : f + e], -1
 
 
 def _grow_symbols(sigma: int, model, seed: bytes) -> int:
@@ -200,37 +199,40 @@ def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
     smallest fresh symbol that extends, by one `first` call over the symbols
     absent from the snapshot's text (the search asked all the others).
 
-    The suffix tree is read only through snapshots, so it is extended to
-    the grown string only when a snapshot is due, with everything grown
-    since the last one (Ukkonen's algorithm gives the same tree and node ids
-    however its input is chunked). A snapshot is a view of the live tree,
-    valid until its next `extend`, and its decomposition reads the tree's
-    child maps until complete, so both are dropped first. Each decomposition
-    is placed only where the phrase searches enter it. Returns the number
-    of phrases emitted; the model holds the result. `records` collects
-    (size, placed) per decomposition, for diagnostics: the snapshot's node
-    count and the centroids placed in it, appended once the next snapshot
-    replaces it or the phase ends.
+    The suffix tree is read only through snapshots: the first once the
+    known string holds a symbol (the empty string's tree has nothing to
+    search), then one each time it has doubled. So the tree is extended only
+    when a snapshot is due, with all grown since the last one (Ukkonen's
+    algorithm gives the same tree and node ids however its input is
+    chunked). A snapshot is a view of the live tree, valid until its next
+    `extend`, and its decomposition reads the tree's child maps until
+    complete, so both are dropped first; each is placed only where the
+    searches enter it. Returns the number of phrases emitted; the model holds
+    the result. `records` collects (size, placed) per decomposition: the
+    snapshot's node count and the centroids placed in it, appended once the
+    next snapshot replaces it or the phase ends.
     """
     st = SuffixTree(sigma)
     grown = bytearray(seed)  # the known string in model orientation
-    symbols = bytes(range(1, sigma + 1))
-    rebuild_at = 0  # the first pass always takes a snapshot
+    fresh = symbols = bytes(range(1, sigma + 1))
+    rebuild_at = 1  # the first snapshot holds at least one symbol
+    ct = None
     for phrases in count():
         if len(grown) >= rebuild_at:
-            if phrases:  # record the previous decomposition; free it before the next snapshot
+            if ct is not None:  # record the previous decomposition; free it before the next snapshot
                 records.append((ct.size, ct.placed))
                 snap = ct = None
             st.extend(grown[len(st.text):])
             snap = st.snapshot()
             ct = decompose_snapshot(snap)
-            rebuild_at = max(1, len(grown) * _REBUILD_FACTOR)
+            rebuild_at = len(grown) * _REBUILD_FACTOR
             fresh = symbols.translate(None, snap.text)
-        phrase = _phrase_search(snap, ct, model)
+        phrase = _phrase_search(snap, ct, model) if ct is not None else b""
         if not phrase:
             i = model.first(fresh)
             if i < 0:
-                records.append((ct.size, ct.placed))
+                if ct is not None:
+                    records.append((ct.size, ct.placed))
                 return phrases
             phrase = _SYMBOLS[fresh[i]]
         model.advance(phrase)
@@ -283,7 +285,8 @@ def reconstruct_rle(o, sigma: int) -> ReconstructionReport:
 def reconstruct_lz_prefix(o, sigma: int) -> ReconstructionReport:
     """Phrase-at-a-time reconstruction against a prefix oracle. When neither
     a phrase nor any fresh symbol extends the known prefix, it is the whole
-    string."""
+    string. extras["decompositions"] holds `_lz_grow`'s records: none for
+    the empty string, whose tree is never searched."""
     records: list = []
     grow = partial(_lz_grow, records=records)
     return _drive(o, sigma, ("prefix",), grow, "lz-prefix", "phrases", decompositions=records)
@@ -292,7 +295,8 @@ def reconstruct_lz_prefix(o, sigma: int) -> ReconstructionReport:
 def reconstruct_lz_substring(o, sigma: int) -> ReconstructionReport:
     """Phrase-at-a-time reconstruction with substring queries only: forward
     until the known string is (provably) a suffix, then the same machinery
-    on the reversed string until it is also a prefix."""
+    on the reversed string until it is also a prefix. extras holds the
+    decomposition records of both phases, as in reconstruct_lz_prefix."""
     records: list = []
     grow = partial(_lz_grow, records=records)
     return _drive(o, sigma, ("right", "left"), grow, "lz-substring", "phrases",

@@ -23,7 +23,7 @@ import functools
 import itertools
 import re
 from typing import Protocol, Sequence
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .oracle import Oracle, QueryStats
 from .reconstruct import Phase, ReconstructionError, ReconstructionReport
@@ -150,7 +150,7 @@ class _Universe:
     length share each splitter search, and a run that reaches a set again
     follows the step's links instead of re-deriving its split."""
 
-    __slots__ = ("n", "strings", "combs", "masks", "steps")
+    __slots__ = ("n", "strings", "combs", "masks", "steps", "__weakref__")
 
     def __init__(self, n: int):
         self.n = n
@@ -222,23 +222,30 @@ class _Universe:
         return hit
 
 
-# One _Universe per n, kept for the life of the process.
-_universe = functools.cache(_Universe)
+_universes: WeakValueDictionary[int, _Universe] = WeakValueDictionary()
+
+
+def _universe(n: int) -> _Universe:
+    """The _Universe of length n, shared by code tables and freed with the last."""
+    return _universes.get(n) or _universes.setdefault(n, _Universe(n))
+
+
 # Per-compressor tables, keyed by the compressor object (not its name: two
-# compressors may share one) and freed with it: by n, the code lengths of
-# the 2^n strings, their maximum and the candidate masks by k.
-_CodeTable = tuple[list[int], int, dict[int, int]]
+# compressors may share one) and freed with it: by n, the universe, the code
+# lengths of its 2^n strings, their maximum and the candidate masks by k.
+_CodeTable = tuple[_Universe, list[int], int, dict[int, int]]
 _code_tables: WeakKeyDictionary[Compressor, dict[int, _CodeTable]] = WeakKeyDictionary()
 
 
 def _code_table(c: Compressor, n: int) -> _CodeTable:
-    """The code length of every length-n string under c, the largest, and
-    the candidate masks built so far, by k."""
+    """The universe of length n, the code length of each of its strings
+    under c, the largest, and the candidate masks built so far, by k."""
     table = _code_tables.setdefault(c, {})
     entry = table.get(n)
     if entry is None:
-        lens = [len(c.compress(Text(s, 2))) for s in _universe(n).strings]
-        entry = table[n] = (lens, max(lens), {})
+        uni = _universe(n)
+        lens = [len(c.compress(Text(s, 2))) for s in uni.strings]
+        entry = table[n] = (uni, lens, max(lens), {})
     return entry
 
 
@@ -246,7 +253,7 @@ def _candidate_mask(c: Compressor, n: int, k: int) -> int:
     """Bitmask over the 2^n strings of M_k, the ones whose codes fit in k
     bits; raises ValueError when M_k outnumbers the 2^(k+1) - 2 nonempty
     codes of at most k bits, since then c cannot be injective."""
-    lens, _, masks = _code_table(c, n)
+    _, lens, _, masks = _code_table(c, n)
     mask = masks.get(k)
     if mask is None:
         mask = 0
@@ -303,8 +310,7 @@ def reconstruct_universal(o, n: int, c: Compressor) -> ReconstructionReport:
             f"the oracle holds {len(o)} symbols over an alphabet of {o.sigma}; "
             f"the hidden string is not binary of length {n}"
         )
-    uni = _universe(n)
-    code_len, max_k, masks = _code_table(c, n)
+    uni, code_len, max_k, masks = _code_table(c, n)
     contains = o.contains_substring
     split_log: list[tuple[int, int, bool]] = []
     rounds = 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +207,83 @@ def test_searches_place_few_centroids():
     assert sum(placed for _, placed in records) < 0.25 * sum(size for size, _ in records)
 
 
+class _Lengths:
+    """A cursor that passes every call on to `inner` and logs the known
+    string's length at the start and after each advance."""
+
+    def __init__(self, inner, known: bytes):
+        self.inner, self.probe, self.first = inner, inner.probe, inner.first
+        self.lengths = [len(known)]
+
+    def advance(self, t) -> None:
+        self.inner.advance(t)
+        self.lengths.append(self.lengths[-1] + len(t))
+
+    def result(self) -> bytes:
+        return self.inner.result()
+
+
+@pytest.mark.parametrize("algo", [reconstruct_lz_prefix, reconstruct_lz_substring],
+                         ids=["lz-prefix", "lz-substring"])
+def test_snapshots_follow_the_doubling_schedule(algo, monkeypatch):
+    # a phase takes its first snapshot once it holds a symbol, so a phase
+    # that starts from nothing records no one-node tree, then one each time
+    # the known string has doubled since the last
+    phases: list[_Lengths] = []
+    taken: list[int] = []
+
+    def logged_cursor(o, side, known=b""):
+        phases.append(_Lengths(cursor(o, side, known), known))
+        return phases[-1]
+
+    def sized(snap):
+        taken.append(len(snap.text))
+        return decompose_snapshot(snap)
+
+    monkeypatch.setattr(reconstruct, "cursor", logged_cursor)
+    monkeypatch.setattr(reconstruct, "decompose_snapshot", sized)
+    for family, n, sigma in [("random", 300, 4), ("fibonacci", 233, 2), ("unary", 9, 3),
+                             ("copy-paste(6)", 300, 3)]:
+        hidden = generate(family, n, sigma, seed=2)
+        phases.clear()
+        taken.clear()
+        rep = algo(Oracle(hidden), sigma)
+        assert rep.recovered == hidden
+        expected = []
+        for phase in phases:
+            rebuild_at = 1
+            for length in phase.lengths:
+                if length >= rebuild_at:
+                    expected.append(length)
+                    rebuild_at = 2 * length
+        assert phases[0].lengths[0] == 0 and expected[0] == 1
+        assert taken == expected
+        records = rep.extras["decompositions"]
+        assert len(records) == len(expected) and min(size for size, _ in records) > 1
+
+
+class _NeverOracle(Oracle):
+    """An oracle subclass, so asked through full queries, that counts every
+    query and answers no."""
+
+    __slots__ = ()
+
+    def contains_substring(self, q) -> bool:
+        return super().contains_substring(q) and False
+
+    def is_prefix(self, q) -> bool:
+        return super().is_prefix(q) and False
+
+
+@pytest.mark.parametrize("algo", [reconstruct_lz_prefix, reconstruct_lz_substring],
+                         ids=["lz-prefix", "lz-substring"])
+def test_an_oracle_that_never_answers_yes_gets_no_decompositions(algo):
+    rep = algo(_NeverOracle(from_letters("abc")), 3)
+    assert rep.recovered.symbols == b""
+    assert rep.extras["decompositions"] == []
+    assert rep.stats.total_queries == 3 * len(rep.phases)  # one fresh-symbol round per phase
+
+
 def phrase_search(known: Text, model) -> bytes:
     """One phrase step over the suffix tree of known, as the LZ loop takes it,
     asking through the cursor `model`."""
@@ -304,6 +382,101 @@ def test_phrase_search_asks_around_a_child_whose_locus_was_asked():
     assert model.calls == [("probe", "bb", False), ("first", "", "ab", 1), ("first", "b", "a", -1)]
 
 
+def _reference_phrase_search(snap, ct, model, paths: Counter) -> bytes:
+    """The phrase search as a closure per search and a helper call per
+    visited node, as it was before `reconstruct._phrase_search` became one
+    loop; kept as the reference that loop must match call for call. `paths`
+    counts the searches that filter failed one-symbol children out of a
+    `first` call ("filter") and those that reach its fallback for a walk
+    that verified no node ("unverified")."""
+    probe, first = model.probe, model.first
+    text, depth, first_occ, parent = snap.text, snap.depth, snap.first_occ, ct.tree_parent
+    by_symbol = snap.children_by_symbol
+    seen: dict[int, bool] = {0: True}
+    failed: dict[int, list[int]] = {}
+
+    def extending_child(u: int, loc: bytes) -> int:
+        kids, syms = by_symbol(u)
+        gone = failed.get(u)
+        if gone:
+            paths["filter"] += 1
+            kids = [v for v in kids if v not in gone]
+            syms = bytes(text[first_occ[v] + depth[u]] for v in kids)
+        i = first(syms, loc) if kids else -1
+        ch = kids[i] if i >= 0 else -1
+        if ch >= 0 and depth[ch] == depth[u] + 1:
+            seen[ch] = True
+        return ch
+
+    best, found, nxt = 0, b"", None
+    u: int | None = ct.root
+    while u is not None:
+        f = first_occ[u]
+        loc = text[f : f + depth[u]]
+        ok = seen.get(u)
+        if ok is None:
+            ok = seen[u] = probe(loc)
+        if ok:
+            best, found, nxt = u, loc, extending_child(u, loc)
+            if nxt < 0:
+                return found
+            u = ct.component_of(u, nxt)
+        else:
+            p = parent[u]
+            if depth[u] == depth[p] + 1:
+                failed.setdefault(p, []).append(u)
+            u = ct.component_of(u, p)
+    if nxt is None:
+        paths["unverified"] += 1
+        nxt = extending_child(0, b"")
+    while nxt >= 0:
+        f, d, e = first_occ[nxt], depth[best], depth[nxt]
+        a = seen.get(nxt)
+        k = _max_true(lambda l: probe(text[f : f + d + l]) if a is None or d + l < e else a, cap=e - d)
+        if d + k < e:
+            return text[f : f + d + k]
+        found = text[f : f + e]
+        best, nxt = nxt, extending_child(nxt, found)
+    return found
+
+
+@pytest.mark.parametrize("side", ["right", "left", "prefix"])
+def test_phrase_search_matches_the_closure_reference(side):
+    # up to three searches in a row over one (often stale) snapshot, as the
+    # LZ loop makes them, through the native cursors of a plain Oracle and
+    # through the full queries of a logging subclass: the same phrases, the
+    # same cursor calls and queries, the same charges and placed centroids
+    rng = random.Random(28)
+    paths: Counter = Counter()
+    for case in range(250):
+        sigma = rng.choice((2, 3, 5))
+        hidden = bytes(rng.randint(1, sigma) for _ in range(rng.randint(1, 40)))
+        if case % 3:  # a piece of the hidden string, as the LZ phases hold
+            i = rng.randrange(len(hidden))
+            j = rng.randint(i + 1, len(hidden))
+            known = hidden[:j] if side == "prefix" else hidden[i:j]
+        else:
+            known = bytes(rng.randint(1, sigma) for _ in range(rng.randint(1, 20)))
+        tree = SuffixTree(sigma)
+        tree.extend((known[::-1] if side == "left" else known)[: rng.randint(1, len(known))])
+        runs = []
+        for search in (_phrase_search, lambda s, c, m: _reference_phrase_search(s, c, m, paths)):
+            for o in (Oracle(Text(hidden, sigma)), _LoggingOracle(Text(hidden, sigma))):
+                snap = tree.snapshot()
+                ct = decompose_snapshot(snap)
+                model = _CallLog(cursor(o, side, known))
+                phrases = []
+                while len(phrases) < 3 and (not phrases or phrases[-1]):
+                    phrases.append(search(snap, ct, model))
+                    model.inner.advance(phrases[-1])
+                runs.append((phrases, model.calls, o.stats(), getattr(o, "log", None),
+                             ct.placed, ct.parent))
+        assert runs[0] == runs[2] and runs[1] == runs[3], (side, hidden, known)
+    # the fallback is never reached: a walk that fails at every node climbs
+    # to node 0, whose locus b"" is verified without a query
+    assert paths["filter"] and not paths["unverified"]
+
+
 def test_max_true_exact_over_small_domain():
     for answer in range(1, 70):
         calls = 0
@@ -322,6 +495,13 @@ def test_max_true_respects_cap():
         for cap in range(1, 25):
             got = _max_true(lambda l, _a=answer: l <= _a, cap=cap)
             assert got == min(answer, cap)
+
+
+def test_max_true_rejects_a_cap_below_one():
+    # no length in [1, cap] is left to return; 1 was returned unasked
+    for cap in (0, -3):
+        with pytest.raises(ValueError):
+            _max_true(lambda l: pytest.fail(f"pred({l}) asked"), cap=cap)
 
 
 def test_bound_holds_rejects_unknown_algorithm():

@@ -443,6 +443,26 @@ def test_universal_tables_are_freed_with_their_compressor():
     assert run(compressor_from_reconstructor(reconstruct_rle, 2)) == first
 
 
+def test_a_universe_is_freed_with_the_compressors_that_hold_it(monkeypatch):
+    # an empty registry, so no compressor made before this test shares it
+    monkeypatch.setattr(universal, "_universes", weakref.WeakValueDictionary())
+    hidden = from_bits("0010110001")
+    n = len(hidden)
+    comps = [RunLengthBits(), IdentityBits()]
+    for comp in comps:
+        assert reconstruct_universal(Oracle(hidden), n, comp).recovered == hidden
+    uni = universal._universes[n]
+    assert all(universal._code_tables[c][n][0] is uni for c in comps)
+    gone = weakref.ref(uni)
+    del uni, comp
+    comps.pop()
+    gc.collect()
+    assert gone() is not None  # the other compressor's table still holds it
+    comps.pop()
+    gc.collect()
+    assert gone() is None and n not in universal._universes
+
+
 class _HashingOracle(Oracle):
     """An oracle that also feeds (answer, length, query bytes) of every
     substring query to a hash, so the hash pins the whole transcript."""
