@@ -163,6 +163,10 @@ class SuffixTree:
         self._remainder = remainder
 
     def is_leaf(self, v: int) -> bool:
+        """Whether node v is a leaf; the one id check of is_leaf, string_depth
+        and locus_interval, which raise KeyError outside [0, node_count)."""
+        if not 0 <= v < self.node_count:
+            raise KeyError(f"unknown node id {v}")
         return self._children[v] is _LEAF_KIDS
 
     def string_depth(self, v: int) -> int:
@@ -192,8 +196,6 @@ class SuffixTree:
     def locus_interval(self, node_id: int) -> tuple[int, int]:
         """1-based inclusive interval [i, j] such that text[i..j] spells
         locus(node), using the first occurrence; the root yields (1, 0)."""
-        if not 0 <= node_id < self.node_count:
-            raise KeyError(f"unknown node id {node_id}")
         d = self.string_depth(node_id)
         if d == 0:
             return (1, 0)

@@ -43,9 +43,16 @@ def from_letters(s: str, sigma: int | None = None) -> Text:
     return Text(bytes(syms), sigma)
 
 
-def to_letters(t: Text | bytes) -> str:
+def _spell(t: Text | bytes, digits: str) -> str:
+    """t with symbol s as digits[s - 1]; ValueError if digits lacks one."""
     syms = t.symbols if isinstance(t, Text) else t
-    return "".join(chr(ord("a") + s - 1) for s in syms)
+    if syms and not 1 <= min(syms) <= max(syms) <= len(digits):
+        raise ValueError(f"only the symbols 1..{len(digits)} spell as {digits[0]}..{digits[-1]}")
+    return "".join(digits[s - 1] for s in syms)
+
+
+def to_letters(t: Text | bytes) -> str:
+    return _spell(t, "abcdefghijklmnopqrstuvwxyz")
 
 
 def from_bits(bits: str) -> Text:
@@ -56,8 +63,7 @@ def from_bits(bits: str) -> Text:
 
 
 def to_bits(t: Text | bytes) -> str:
-    syms = t.symbols if isinstance(t, Text) else t
-    return "".join(str(s - 1) for s in syms)
+    return _spell(t, "01")
 
 
 def from_raw_bytes(data: bytes) -> Text:

@@ -6,7 +6,9 @@ them). A single well-chosen substring query splits a candidate set into
 fractions between 1/5 and 4/5, so the hidden string is found with O(|C(S)|)
 queries by running the halving strategy under an exponentially growing
 budget. The machinery is exponential in n and capped accordingly: each
-length keeps its 2^n strings and their code lengths, a query's membership
+length keeps its 2^n strings, each compressor their code lengths and the
+candidate set of every budget it can reach (checked against the count an
+injective code allows when built, before any query), a query's membership
 mask is built only when a splitter search reads it, and each candidate set
 is split once. At the cap n = 16, reconstructing ten random strings under
 each compressor takes about 0.9 s (2-core x86 VM, Python 3.11.7), mostly
@@ -141,14 +143,15 @@ class _Step:
 class _Universe:
     """Per-n tables. String i has the bits of i (MSB first) as symbols 1/2.
     A query of length l is named by its value v, read MSB first the same
-    way, and queries are ordered shortest first, then lexicographically.
-    masks holds, by (l, v), the membership bitmask over the 2^n strings of
-    each query a splitter search has read; none is built before a search
-    reads it, so the searches of all 4096 strings of length 12, under both
-    bundled compressors, build 405 of the 8190 masks. steps maps each
-    candidate set that gets split to its _Step, so hidden strings of one
-    length share each splitter search, and a run that reaches a set again
-    follows the step's links instead of re-deriving its split."""
+    way, and queries are ordered shortest first, then lexicographically;
+    splitter searches them in that order. masks holds, by (l, v), the
+    membership bitmask over the 2^n strings of each query a splitter search
+    has read; none is built before a search reads it, so the searches of all
+    4096 strings of length 12, under both bundled compressors, build 405 of
+    the 8190 masks. steps maps each candidate set that gets split to its
+    _Step, so hidden strings of one length share each splitter search, and a
+    run that reaches a set again follows the step's links instead of
+    re-deriving its split."""
 
     __slots__ = ("n", "strings", "combs", "masks", "steps", "__weakref__")
 
@@ -176,7 +179,7 @@ class _Universe:
             return members
         step = self.steps.get(m)
         if step is None:
-            q, qmask, flagged = _select_splitter(self.n, m)
+            q, qmask, flagged = self.splitter(m)
             entry = (size, (m & qmask).bit_count(), flagged)
             step = self.steps[m] = _Step(q, entry, m, qmask)
         return step
@@ -188,6 +191,27 @@ class _Universe:
         else:
             child = step.no = self.node(step.mask & ~step.qmask)
         return child
+
+    def splitter(self, m_mask: int) -> tuple[bytes, int, bool]:
+        """The first query, shortest-then-lexicographic, occurring in 1/5 to
+        4/5 of the candidates in the bitmask m_mask, as (query, membership
+        mask, False); failing that, the first closest to an even split,
+        flagged True. Only a single candidate gets the flag: in a larger set,
+        a query shorter than n that occurs in more than 4/5 of it has a
+        one-symbol extension, left or right, occurring in a quarter of those,
+        so in more than 1/5. It keeps no result: node calls it once per set
+        and keeps the step."""
+        msize = m_mask.bit_count()
+        lo = -(-msize // 5)
+        hi = (4 * msize) // 5
+        best = None  # (distance from an even split, query, mask) of the first closest
+        for q, qmask, cnt in self.walk(m_mask):
+            if lo <= cnt <= hi:
+                return q, qmask, False
+            score = abs(2 * cnt - msize)
+            if best is None or score < best[0]:
+                best = (score, q, qmask)
+        return best[1], best[2], True
 
     def walk(self, m_mask: int):
         """(query, mask, count) for each query occurring in at least one of
@@ -222,75 +246,42 @@ class _Universe:
         return hit
 
 
+# The _Universe of each length, shared by code tables and freed with the last.
 _universes: WeakValueDictionary[int, _Universe] = WeakValueDictionary()
-
-
-def _universe(n: int) -> _Universe:
-    """The _Universe of length n, shared by code tables and freed with the last."""
-    return _universes.get(n) or _universes.setdefault(n, _Universe(n))
-
 
 # Per-compressor tables, keyed by the compressor object (not its name: two
 # compressors may share one) and freed with it: by n, the universe, the code
-# lengths of its 2^n strings, their maximum and the candidate masks by k.
-_CodeTable = tuple[_Universe, list[int], int, dict[int, int]]
+# lengths of its 2^n strings and the budget schedule (see _code_table).
+_CodeTable = tuple[_Universe, list[int], list[tuple[int, int]]]
 _code_tables: WeakKeyDictionary[Compressor, dict[int, _CodeTable]] = WeakKeyDictionary()
 
 
 def _code_table(c: Compressor, n: int) -> _CodeTable:
     """The universe of length n, the code length of each of its strings
-    under c, the largest, and the candidate masks built so far, by k."""
+    under c, and the budgets: (k, bitmask of M_k, the strings whose codes fit
+    in k bits) for k = 1, 2, 4, ..., capped at the longest code. Raises
+    ValueError when some M_k outnumbers the 2^(k+1) - 2 nonempty codes of at
+    most k bits, since then c cannot be injective."""
     table = _code_tables.setdefault(c, {})
     entry = table.get(n)
     if entry is None:
-        uni = _universe(n)
+        uni = _universes.get(n) or _universes.setdefault(n, _Universe(n))
         lens = [len(c.compress(Text(s, 2))) for s in uni.strings]
-        entry = table[n] = (uni, lens, max(lens), {})
+        ks, top = [1], max(lens)
+        while ks[-1] < top:
+            ks.append(min(2 * ks[-1], top))
+        budgets = []
+        for k in ks:
+            # bit i of the mask is string i, so the digits run from the last
+            mask = int("".join("1" if l <= k else "0" for l in reversed(lens)), 2)
+            if mask.bit_count() > 2 ** (k + 1) - 2:
+                raise ValueError(
+                    f"{mask.bit_count()} length-{n} strings have codes of at most {k} "
+                    f"bits under {c.name!r}; the compressor cannot be injective"
+                )
+            budgets.append((k, mask))
+        entry = table[n] = (uni, lens, budgets)
     return entry
-
-
-def _candidate_mask(c: Compressor, n: int, k: int) -> int:
-    """Bitmask over the 2^n strings of M_k, the ones whose codes fit in k
-    bits; raises ValueError when M_k outnumbers the 2^(k+1) - 2 nonempty
-    codes of at most k bits, since then c cannot be injective."""
-    _, lens, _, masks = _code_table(c, n)
-    mask = masks.get(k)
-    if mask is None:
-        mask = 0
-        for i, l in enumerate(lens):
-            if l <= k:
-                mask |= 1 << i
-        if mask.bit_count() > 2 ** (k + 1) - 2:
-            raise ValueError(
-                f"{mask.bit_count()} length-{n} strings have codes of at most {k} "
-                f"bits under {c.name!r}; the compressor cannot be injective"
-            )
-        masks[k] = mask
-    return mask
-
-
-def _select_splitter(n: int, m_mask: int) -> tuple[bytes, int, bool]:
-    """The first query, shortest-then-lexicographic, occurring in 1/5 to 4/5
-    of the candidates in the bitmask m_mask, as (query, membership mask,
-    False); failing that, the first closest to an even split, flagged True.
-    Only a single candidate gets the flag: in a larger set, a query shorter
-    than n that occurs in more than 4/5 of it has a one-symbol extension,
-    left or right, occurring in a quarter of those, so in more than 1/5.
-    It keeps no result: _Universe.node calls it once per set and keeps the step."""
-    msize = m_mask.bit_count()
-    lo = -(-msize // 5)
-    hi = (4 * msize) // 5
-    best = None
-    best_score = None
-    for q, qmask, cnt in _universe(n).walk(m_mask):
-        if lo <= cnt <= hi:
-            return q, qmask, False
-        score = abs(2 * cnt - msize)
-        if best_score is None or score < best_score:
-            best = (q, qmask, True)
-            best_score = score
-    assert best is not None
-    return best
 
 
 def reconstruct_universal(o, n: int, c: Compressor) -> ReconstructionReport:
@@ -310,14 +301,11 @@ def reconstruct_universal(o, n: int, c: Compressor) -> ReconstructionReport:
             f"the oracle holds {len(o)} symbols over an alphabet of {o.sigma}; "
             f"the hidden string is not binary of length {n}"
         )
-    uni, code_len, max_k, masks = _code_table(c, n)
+    uni, code_len, budgets = _code_table(c, n)
     contains = o.contains_substring
     split_log: list[tuple[int, int, bool]] = []
-    rounds = 0
-    tau = 1
-    while True:
-        rounds += 1
-        node = uni.node(masks[tau] if tau in masks else _candidate_mask(c, n, tau))
+    for rounds, (tau, mask) in enumerate(budgets, 1):
+        node = uni.node(mask)
         while type(node) is _Step:
             split_log.append(node.entry)
             yes = contains(node.query)
@@ -337,36 +325,30 @@ def reconstruct_universal(o, n: int, c: Compressor) -> ReconstructionReport:
                         "split_log": split_log,
                     },
                 )
-        if tau >= max_k:
-            raise ReconstructionError(
-                f"no length-{n} candidate verified even with the full code "
-                f"budget {max_k}; the hidden string is not binary of length {n}"
-            )
-        tau = min(tau * 2, max_k)
+    raise ReconstructionError(
+        f"no length-{n} candidate verified even with the full code "
+        f"budget {tau}; the hidden string is not binary of length {n}"
+    )
 
 
-class _RecordingOracle:
-    """Passes queries through to a real oracle, recording each answer bit."""
+class _RecordingOracle(Oracle):
+    """An oracle that also records each answer as a bit."""
 
-    __slots__ = ("_o", "bits", "sigma")
+    __slots__ = ("bits",)
 
-    def __init__(self, o: Oracle):
-        self._o = o
+    def __init__(self, hidden: Text):
+        super().__init__(hidden)
         self.bits: list[int] = []
-        self.sigma = o.sigma
 
     def contains_substring(self, q) -> bool:
-        a = self._o.contains_substring(q)
+        a = super().contains_substring(q)
         self.bits.append(1 if a else 0)
         return a
 
     def is_prefix(self, q) -> bool:
-        a = self._o.is_prefix(q)
+        a = super().is_prefix(q)
         self.bits.append(1 if a else 0)
         return a
-
-    def stats(self) -> QueryStats:
-        return self._o.stats()
 
 
 class _ReplayOracle:
@@ -405,7 +387,7 @@ class ReconstructorCodec:
         self.name = f"replay-{getattr(algo, '__name__', 'algo')}"
 
     def compress(self, t: Text) -> tuple[int, ...]:
-        rec = _RecordingOracle(Oracle(Text(t.symbols, self.sigma)))
+        rec = _RecordingOracle(Text(t.symbols, self.sigma))
         report = self.algo(rec, self.sigma)
         if report.recovered.symbols != t.symbols:
             raise ReconstructionError(

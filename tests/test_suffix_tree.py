@@ -44,6 +44,12 @@ def test_rejects_bad_arguments():
         tree.extend((0,))
     with pytest.raises(KeyError):
         tree.locus_interval(99)
+    tree.extend(from_letters("abaa").symbols)
+    # a negative id must not index the node lists from their end
+    for v in (-1, tree.node_count, 99):
+        for accessor in (tree.locus_interval, tree.string_depth, tree.is_leaf):
+            with pytest.raises(KeyError, match=f"unknown node id {v}"):
+                accessor(v)
 
 
 @given(strings)

@@ -38,6 +38,10 @@ def test_letters_round_trip():
     assert from_letters("abc", sigma=5).sigma == 5
     with pytest.raises(ValueError):
         from_letters("a b")
+    # symbols past z, and the reserved 0, have no letter
+    for syms in (b"\x1b\x1c", b"\x01\x1b", b"\x00", Text(b"\x01\x1b", 27)):
+        with pytest.raises(ValueError, match=r"only the symbols 1\.\.26"):
+            to_letters(syms)
 
 
 def test_bits_round_trip():
@@ -46,6 +50,9 @@ def test_bits_round_trip():
     assert to_bits(t) == "0110"
     with pytest.raises(ValueError):
         from_bits("012")
+    for syms in (b"\x03", b"\x01\x02\x03", b"\x00", from_letters("abc")):
+        with pytest.raises(ValueError, match=r"only the symbols 1\.\.2"):
+            to_bits(syms)
 
 
 def test_raw_bytes_dense_remap():

@@ -34,8 +34,7 @@ from strrecon import universal
 from strrecon.bench import COMPRESSORS
 from strrecon.universal import (
     DEFAULT_CAP,
-    _candidate_mask,
-    _select_splitter,
+    _code_table,
     _Step,
     _Universe,
     elias_gamma_decode,
@@ -59,6 +58,11 @@ def mask_of(members) -> int:
 
 def members_of(n: int, mask: int) -> frozenset[Text]:
     return frozenset(t for t in all_binary(n) if mask >> index(t) & 1)
+
+
+def budget_mask(comp, n: int, k: int) -> int:
+    """M_k as a mask: the length-n strings whose codes under comp fit in k bits."""
+    return mask_of(t for t in all_binary(n) if len(comp.compress(t)) <= k)
 
 
 class ConstantCode:
@@ -167,40 +171,76 @@ def test_candidate_counts_for_identity():
     # with one bit per symbol, budget k admits exactly the strings of length
     # n when k >= n and none otherwise
     for n in range(1, 7):
-        assert _candidate_mask(IdentityBits(), n, n).bit_count() == 1 << n
-        assert _candidate_mask(IdentityBits(), n, n - 1) == 0
+        assert budget_mask(IdentityBits(), n, n).bit_count() == 1 << n
+        assert budget_mask(IdentityBits(), n, n - 1) == 0
 
 
 def test_candidate_set_size_cap():
     for n in range(1, 9):
         for k in range(1, 2 * n):
-            assert _candidate_mask(RunLengthBits(), n, k).bit_count() <= 2 ** (k + 1) - 2
+            assert budget_mask(RunLengthBits(), n, k).bit_count() <= 2 ** (k + 1) - 2
 
 
 def test_candidate_set_validation():
     # all 2^n strings share one 1-bit code: more candidates than the two
-    # codes of at most one bit, so the run fails before any query
-    with pytest.raises(ValueError):
-        _candidate_mask(ConstantCode(), 3, 1)
+    # codes of at most one bit, so the table fails, and the run before any query
+    with pytest.raises(ValueError, match="cannot be injective"):
+        _code_table(ConstantCode(), 3)
     o = Oracle(from_bits("0110"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot be injective"):
         reconstruct_universal(o, 4, ConstantCode())
     assert o.stats().total_queries == 0
 
 
 def test_rle_budget_keeps_only_compressible_strings():
-    for comp in (IdentityBits(), RunLengthBits()):
-        for n in range(1, 11):
-            strings = list(all_binary(n))
-            lengths = [len(comp.compress(t)) for t in strings]
-            for k in range(2 * n + 3):
-                assert _candidate_mask(comp, n, k) == mask_of(
-                    t for t, l in zip(strings, lengths) if l <= k
-                )
-    m = _candidate_mask(RunLengthBits(), 10, 8)
+    for n in range(1, 11):
+        # a budget admits every string a smaller one does
+        masks = [budget_mask(RunLengthBits(), n, k) for k in range(2 * n + 3)]
+        assert all(a & ~b == 0 for a, b in zip(masks, masks[1:]))
+    m = budget_mask(RunLengthBits(), 10, 8)
     # a single run of 10 costs 1 symbol bit + 7 gamma bits
     assert m >> index(from_bits("0" * 10)) & 1
     assert not m >> index(from_bits("01" * 5)) & 1
+
+
+@pytest.mark.parametrize(
+    "comp",
+    [IdentityBits(), RunLengthBits(), compressor_from_reconstructor(reconstruct_rle, 2)],
+    ids=["identity", "rle-bits", "replay-rle"],
+)
+def test_code_table_budgets_follow_the_capped_doubling(comp):
+    for n in range(1, 11):
+        uni, lens, budgets = _code_table(comp, n)
+        assert uni.n == n
+        assert lens == [len(comp.compress(t)) for t in all_binary(n)]
+        top = max(lens)
+        ks = [1 << j for j in range(top.bit_length()) if 1 << j < top] + [top]
+        assert budgets == [(k, budget_mask(comp, n, k)) for k in ks]
+
+
+class OvercrowdedCode:
+    """Length-3 codes of 1 bit for 000 and 111, 3 bits for 011 and 2 bits for
+    the other five: the two 1-bit strings fit the budget of 1, but the seven
+    strings of at most 2 bits outnumber the six such nonempty codes."""
+
+    name = "overcrowded"
+
+    def compress(self, t: Text) -> tuple[int, ...]:
+        length = {b"\x01" * 3: 1, b"\x02" * 3: 1, b"\x01\x02\x02": 3}.get(t.symbols, 2)
+        return (0,) * length
+
+    def decompress(self, bits):
+        raise ValueError("not injective")
+
+
+def test_a_code_that_fails_a_later_budget_raises_before_any_query():
+    # the hidden string fits the first budget, which passes its count
+    hidden = from_bits("111")
+    assert len(OvercrowdedCode().compress(hidden)) == 1
+    o = Oracle(hidden)
+    with pytest.raises(ValueError, match="7 length-3 strings have codes of at most 2 bits"):
+        reconstruct_universal(o, 3, OvercrowdedCode())
+    assert o.stats().total_queries == 0
 
 
 # ------------------------------------------------------------ query order
@@ -240,7 +280,7 @@ def test_on_demand_queries_equal_the_eager_enumeration():
 def split(n: int, members) -> tuple[bytes, int, bool]:
     """(splitter, members it occurs in, flagged) for a set of members."""
     m = mask_of(members)
-    q, qmask, flagged = _select_splitter(n, m)
+    q, qmask, flagged = _Universe(n).splitter(m)
     return q, (qmask & m).bit_count(), flagged
 
 
@@ -295,7 +335,7 @@ def test_splitter_contained_is_correct_and_fraction_holds():
             cases.append((n, frozenset(rng.sample(pool, rng.randint(2, min(40, len(pool)))))))
     for n, members in cases:
         m = mask_of(members)
-        q, qmask, flagged = _select_splitter(n, m)
+        q, qmask, flagged = _Universe(n).splitter(m)
         count = (qmask & m).bit_count()
         assert (q, count, flagged) == brute_force_splitter(members)
         assert members_of(n, qmask & m) == frozenset(t for t in members if q in t.symbols)
@@ -308,7 +348,7 @@ def test_splitter_contained_is_correct_and_fraction_holds():
 def test_only_a_single_candidate_gets_a_flagged_splitter():
     for n in range(1, 7):
         for t in all_binary(n):
-            q, qmask, flagged = _select_splitter(n, mask_of([t]))
+            q, qmask, flagged = _Universe(n).splitter(mask_of([t]))
             # the first of its substrings, shortest then lexicographic
             assert flagged and q == bytes([min(t.symbols)]) and qmask >> index(t) & 1
 
@@ -325,7 +365,7 @@ def walk_steps(uni: _Universe, node, seen: set[int]) -> None:
         return
     m = node.mask
     assert uni.steps[m] is node
-    q, qmask, flagged = _select_splitter(uni.n, m)
+    q, qmask, flagged = _Universe(uni.n).splitter(m)
     assert (node.query, node.qmask) == (q, qmask)
     assert node.entry == (m.bit_count(), (m & qmask).bit_count(), flagged)
     if m in seen:
@@ -371,11 +411,11 @@ def test_a_second_pass_reads_the_step_table_without_searching(monkeypatch):
                 for rep in [reconstruct_universal(Oracle(hidden), n, comp)]]
 
     first = run_all()
-    uni = universal._universe(n)
+    uni = universal._universes[n]
     steps, masks = dict(uni.steps), dict(uni.masks)
     searches = []
-    pure = universal._select_splitter
-    monkeypatch.setattr(universal, "_select_splitter", lambda *a: searches.append(a) or pure(*a))
+    pure = _Universe.splitter
+    monkeypatch.setattr(_Universe, "splitter", lambda *a: searches.append(a) or pure(*a))
     assert run_all() == first
     assert searches == []
     assert uni.steps == steps and uni.masks == masks
