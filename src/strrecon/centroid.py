@@ -26,16 +26,19 @@ inside one component, and a node lies in O(log m) components, so the whole
 decomposition takes O(m log m) (Della Giustina, Prezza and Venturini, SPIRE
 2019, avoid even the log factor).
 
-`CentroidTree.of` places only the root. Every other component waits until
-`component_of` is first asked for it: a component below a placed centroid c
-is keyed by its top, a child of c, and the one above c by ~c. Placing a
+`CentroidTree.of` places only the root. Every other component waits in
+`pending` until a search first enters it: a component below a placed centroid
+c is keyed by its top, a child of c, and the one above c by ~c. `place` then
+puts its centroid, which is kept in `entered` under the same key. Placing a
 component reads and writes only the sizes inside it, and components are
 disjoint, so the order of placement cannot change any centroid: a phrase
 search that enters a tenth of the components pays for a tenth of the walks,
 and `complete()` (which `decompose` calls) places the rest to give the same
 tree as placing everything at once. A search moves only from a placed node
-to one of its tree neighbours, so `component_of` answers only such pairs,
-from the key alone.
+to one of its tree neighbours, so the step needs the key alone.
+`component_of` is the checked entry point for such a step; the phrase search
+(`reconstruct._phrase_search`) makes the same step inline, reading `depth`,
+`entered` and `pending` itself.
 """
 from __future__ import annotations
 
@@ -56,13 +59,13 @@ class CentroidTree:
     # its child maps, kept after complete()
     tree_parent: list[int] = field(compare=False, repr=False)
     placed: int = field(default=0, compare=False, repr=False)  # nodes placed so far
-    # the placed components (key -> centroid); until complete(), the child
-    # maps, in-component sizes and the pending components (key -> top), keyed
+    # until complete(), the child maps and in-component sizes; the pending
+    # components (key -> top) and the entered ones (key -> centroid), keyed
     # as in the module docstring
     _kids: list | None = field(default=None, compare=False, repr=False)
     _size: list | None = field(default=None, compare=False, repr=False)
-    _pending: dict = field(default_factory=dict, compare=False, repr=False)
-    _found: dict = field(default_factory=dict, compare=False, repr=False)
+    pending: dict = field(default_factory=dict, compare=False, repr=False)
+    entered: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -95,47 +98,44 @@ class CentroidTree:
         for v in reversed(order[1:]):
             size[up[v]] += size[v]
         ct = cls(0, [-1] * m, [-1] * m, 0, True, up, 0, kids, size)
-        ct.root = ct._place(0, -1)
+        ct.root = ct.place(0, -1)
         return ct
 
-    def _place(self, top: int, above: int) -> int:
+    def place(self, top: int, above: int) -> int:
         """Place the centroid of the pending component whose top is `top`
-        under centroid `above` (-1 for the root); return it."""
+        under centroid `above` (-1 for the root); return it. The caller has
+        taken the component out of `pending` and stores the centroid in
+        `entered`."""
         kids, size, up = self._kids, self._size, self.tree_parent
         msize = size[top]
         half = msize // 2
-        # walk down through the child holding more than half the component
+        # walk down through the child holding more than half the component;
+        # the only other possible centroid is a child of exactly half the
+        # component, where the walk stops, and the smaller node id wins
         c = top
         while True:
             for w in kids[c].values():
-                if size[w] > half:
-                    c = w
+                if 2 * size[w] >= msize:
                     break
             else:
                 break
-        # the only other possible centroid is a child of exactly half the
-        # component; the smaller node id wins
-        for w in kids[c].values():
             if 2 * size[w] == msize:
                 c = min(c, w)
                 break
-        kc = kids[c].values()
-        worst = msize - size[c]
-        for w in kc:
-            if size[w] > worst:
-                worst = size[w]
-        if worst > half:
-            self.balanced = False
+            c = w
         parent, depth = self.parent, self.depth
         parent[c] = above
         depth[c] = depth[above] + 1 if above >= 0 else 0
         below = depth[c] + 1
         sc = size[c]
         size[c] = 0
-        pending = self._pending
+        pending = self.pending
+        worst = msize - sc  # the largest part left: the parent side, or a child below
         ones = 0
-        for w in kc:
+        for w in kids[c].values():
             sw = size[w]
+            if sw > worst:
+                worst = sw
             if sw == 1:  # a one-node component is its own centroid: place it now
                 size[w] = 0
                 parent[w] = c
@@ -157,6 +157,8 @@ class CentroidTree:
                 ones += 1
             else:
                 pending[~c] = top
+        if worst > half:
+            self.balanced = False
         self.placed += 1 + ones
         self.height = max(self.height, below + 1 if ones else below)
         return c
@@ -164,10 +166,10 @@ class CentroidTree:
     def complete(self) -> CentroidTree:
         """Place every pending component, each stored under its key as
         `component_of` stores it; returns self."""
-        pending, up, found = self._pending, self.tree_parent, self._found
+        pending, up, entered = self.pending, self.tree_parent, self.entered
         while pending:
             key, top = pending.popitem()
-            found[key] = self._place(top, up[key] if key > 0 else ~key)
+            entered[key] = self.place(top, up[key] if key > 0 else ~key)
         self._kids = self._size = None
         return self
 
@@ -186,11 +188,11 @@ class CentroidTree:
         if 0 <= dv <= depth[u]:
             return None
         key = v if up[v] == u else ~u
-        c = self._found.get(key)
+        c = self.entered.get(key)
         if c is None:
             if dv >= 0:
                 return v
-            c = self._found[key] = self._place(self._pending.pop(key), u)
+            c = self.entered[key] = self.place(self.pending.pop(key), u)
         return c
 
 

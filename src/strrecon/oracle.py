@@ -13,7 +13,7 @@ from .automaton import SuffixAutomaton
 from .text import Text
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryStats:
     """Exact accounting of every query an oracle ever answered."""
 
@@ -69,7 +69,9 @@ class Oracle:
         return self._hidden.startswith(q)
 
     def stats(self) -> QueryStats:
-        return QueryStats(**vars(self._stats))
+        st = self._stats
+        return QueryStats(st.substring_queries, st.prefix_queries,
+                          st.total_queried_symbols, st.max_query_length)
 
 
 class _Right:
@@ -79,10 +81,10 @@ class _Right:
     transition. The automaton is fetched, and known walked, when the cursor
     is made. State -1 means known does not occur."""
 
-    __slots__ = ("_o", "_known", "_nxt", "_state")
+    __slots__ = ("_stats", "_known", "_nxt", "_state")
 
     def __init__(self, o: Oracle, known: bytes):
-        self._o = o
+        self._stats = o._stats
         self._known = bytearray(known)
         self._nxt = SuffixAutomaton.of(o._hidden).next
         self._state = self._walk(0, known)
@@ -99,7 +101,7 @@ class _Right:
         return s
 
     def probe(self, t) -> bool:
-        st = self._o._stats
+        st = self._stats
         length = len(self._known) + len(t)
         st.substring_queries += 1
         st.total_queried_symbols += length
@@ -119,7 +121,7 @@ class _Right:
                         i = j
         times = i + 1 or len(symbols)
         if times:
-            st = self._o._stats
+            st = self._stats
             length = len(self._known) + len(mid) + 1
             st.substring_queries += times
             st.total_queried_symbols += length * times
@@ -143,18 +145,19 @@ class _Prefix:
     prefix queries there because `cursor` takes this path only when
     reverse(known) occurs there nowhere or only at position 0."""
 
-    __slots__ = ("_o", "_hay", "_left", "_known", "_ok")
+    __slots__ = ("_stats", "_hay", "_left", "_known", "_k", "_ok")
 
     def __init__(self, o: Oracle, hay: bytes, left: bool, known: bytes):
-        self._o = o
+        self._stats = o._stats
         self._hay = hay
         self._left = left
         self._known = bytearray(known)
+        self._k = len(known)  # len(self._known)
         self._ok = hay.startswith(known)
 
     def probe(self, t) -> bool:
-        st = self._o._stats
-        k = len(self._known)
+        st = self._stats
+        k = self._k
         length = k + len(t)
         if self._left:
             st.substring_queries += 1
@@ -167,7 +170,7 @@ class _Prefix:
 
     def first(self, symbols, mid=b"") -> int:
         hay = self._hay
-        k = len(self._known)
+        k = self._k
         length = k + len(mid) + 1
         i = -1
         if self._ok and length <= len(hay) and hay.startswith(mid, k):
@@ -176,7 +179,7 @@ class _Prefix:
                 i = symbols.index(c)
         times = i + 1 or len(symbols)
         if times:
-            st = self._o._stats
+            st = self._stats
             if self._left:
                 st.substring_queries += times
             else:
@@ -187,8 +190,9 @@ class _Prefix:
         return i
 
     def advance(self, t) -> None:
-        self._ok = self._ok and self._hay.startswith(t, len(self._known))
+        self._ok = self._ok and self._hay.startswith(t, self._k)
         self._known += t
+        self._k += len(t)
 
     def result(self) -> bytes:
         return bytes(self._known[::-1] if self._left else self._known)

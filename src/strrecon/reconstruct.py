@@ -77,9 +77,10 @@ def _max_true(pred, cap: int | None = None) -> int:
 
 def decompose_snapshot(snap: TreeSnapshot) -> CentroidTree:
     """The centroid decomposition of one snapshot's child maps, as the LZ
-    loop rebuilds it: validated and sized, with only its root placed;
-    `_phrase_search` places the rest as it enters it (perfbench times this
-    layer through this name)."""
+    loop rebuilds it: validated and sized, with only its root placed.
+    `_phrase_search` steps through its map of entered components itself and
+    places a pending component the first time it enters it (perfbench times
+    this layer through this name)."""
     return CentroidTree.of(snap.children)
 
 
@@ -87,16 +88,19 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
     """Longest t spelled by a root path of the (snapshotted) suffix tree
     such that model.probe(t) holds; b"" when not even one symbol extends.
 
-    One loop walks the centroid tree and then the last partial edge. At each
-    visited node u, one query verifies locus(u). A verified node is left
-    through the suffix-tree child whose first edge symbol still extends,
-    found by one model.first(symbols, locus(u)) call (<= sigma queries,
-    ascending); an unverified one is left through its suffix-tree parent
-    `ct.tree_parent[u]`. `ct.component_of` places a component's centroid the
-    first time any search enters it. A walk that fails at every node climbs
-    to node 0, whose locus b"" holds, so it always verifies one. Once it
-    leaves the decomposition, the deepest verified node is extended from the
-    child picked for it, one edge at a time, each by an exponential search.
+    One loop in one frame walks the centroid tree and then the last partial
+    edge. At each visited node u, one query verifies locus(u). A verified
+    node is left through the suffix-tree child whose first edge symbol still
+    extends, found by one model.first(symbols, locus(u)) call (<= sigma
+    queries, ascending); an unverified one is left through its suffix-tree
+    parent `ct.tree_parent[u]`. Each step to the next centroid is made
+    inline, as `ct.component_of` would answer it, from `ct.depth` and the map
+    `ct.entered`; the search calls into `ct` only to place a pending
+    component the first time any search enters it. A walk that fails at
+    every node climbs to node 0, whose locus b"" holds, so it always
+    verifies one. Once it leaves the decomposition, the deepest verified node
+    is extended from the child picked for it, one edge at a time, each by an
+    exponential search as in `_max_true`, asked inline.
 
     Each distinct t is asked at most once, with no memo of query strings.
     Every t is a point on a root path of the snapshot, and:
@@ -104,15 +108,17 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
     - a child's extension probe is one symbol into its edge, so it equals
       locus(child) only when that edge has one symbol;
     - a point inside an edge is asked at most once: after leaving u through
-      a child, the walk stays below that child.
+      a child, the walk stays below that child, and an edge search stops
+      short of a locus the walk found false.
     So a node's extensions are one `first` call over its children, less the
     one-symbol children whose loci the walk asked first: those answers were
     false, since a true locus sends the walk below it for good. An empty
     result means every symbol in the snapshot was asked.
     """
-    probe, first, component_of = model.probe, model.first, ct.component_of
+    probe, first = model.probe, model.first
     text, depth, first_occ, parent = snap.text, snap.depth, snap.first_occ, ct.tree_parent
-    by_symbol = snap.children_by_symbol
+    by_symbol, children_by_symbol = snap.by_symbol, snap.children_by_symbol
+    cdepth, entered, pending, place = ct.depth, ct.entered, ct.pending, ct.place
     seen: dict[int, bool] = {0: True}  # node -> the answer for locus(node)
     failed: dict[int, list[int]] = {}  # node -> its one-symbol children whose loci were false
     u: int | None = ct.root  # the next centroid to visit; None once the walk leaves
@@ -124,35 +130,53 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
             ok = seen.get(u)
             if ok is None:
                 ok = seen[u] = probe(loc)
-            if not ok:
-                p = parent[u]
-                if depth[u] == depth[p] + 1:
-                    failed.setdefault(p, []).append(u)
-                u = component_of(u, p)
-                continue
-            best, found, nxt = u, loc, -1
-        d = depth[best]
-        if nxt < 0:  # pick best's extending child: the smallest symbol that extends
-            kids, syms = by_symbol(best)
+            if ok:
+                best, found = u, loc
+            else:  # step towards the tree parent v, in the component keyed ~u
+                v = parent[u]
+                key = ~u
+                if depth[u] == depth[v] + 1:
+                    failed.setdefault(v, []).append(u)
+        else:  # extend best into nxt's edge: lengths lo (verified) < hi (not, or past the edge)
+            f, d, e = first_occ[nxt], depth[best], depth[nxt]
+            g = f + d
+            # lengths from stop on are false unasked: past the edge, or locus(nxt) found false
+            stop = e - d + (seen.get(nxt) is not False)
+            lo, hi = 1, 2
+            while hi < stop and probe(text[f : g + hi]):
+                lo, hi = hi, 2 * hi
+            hi = min(hi, e - d + 1)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if mid < stop and probe(text[f : g + mid]):
+                    lo = mid
+                else:
+                    hi = mid
+            if d + lo < e:
+                return text[f : g + lo]
+            best, found, ok = nxt, text[f : f + e], True
+        if ok:  # pick best's extending child: the smallest symbol that extends
+            kids, syms = by_symbol.get(best) or children_by_symbol(best)
             gone = failed.get(best)
             if gone:
-                kids = [v for v in kids if v not in gone]
-                syms = bytes(text[first_occ[v] + d] for v in kids)
+                kids = [w for w in kids if w not in gone]
+                syms = bytes(text[first_occ[w] + depth[best]] for w in kids)
             i = first(syms, found) if kids else -1
             if i < 0:
                 return found
-            nxt = kids[i]
-            if depth[nxt] == d + 1:
+            nxt = v = key = kids[i]
+            if depth[nxt] == depth[best] + 1:
                 seen[nxt] = True  # its locus was the query that found it
-            if u is not None:
-                u = component_of(u, nxt)
-                continue
-        f, e = first_occ[nxt], depth[nxt]
-        a = seen.get(nxt)  # the answer for locus(nxt), if the walk asked it
-        k = _max_true(lambda l: probe(text[f : f + d + l]) if a is None or d + l < e else a, cap=e - d)
-        if d + k < e:
-            return text[f : f + d + k]
-        best, found, nxt = nxt, text[f : f + e], -1
+        if u is not None:  # the centroid of u's component on v's side, if placed deeper
+            dv = cdepth[v]
+            if 0 <= dv <= cdepth[u]:
+                u = None
+            elif key in entered:
+                u = entered[key]
+            elif dv >= 0:  # a one-node component, placed with its parent centroid
+                u = v
+            else:
+                u = entered[key] = place(pending.pop(key), u)
 
 
 def _grow_symbols(sigma: int, model, seed: bytes) -> int:

@@ -46,7 +46,7 @@ class TreeSnapshot:
     depth: list[int]
     children: list  # per node: first edge symbol -> child id
     first_occ: list[int]
-    _by_symbol: dict[int, tuple[tuple[int, ...], bytes]] = field(
+    by_symbol: dict[int, tuple[tuple[int, ...], bytes]] = field(
         default_factory=dict, compare=False, repr=False)
 
     @property
@@ -56,12 +56,13 @@ class TreeSnapshot:
     def children_by_symbol(self, v: int) -> tuple[tuple[int, ...], bytes]:
         """(children, symbols): the children of v in ascending order of
         their first edge symbols, and those symbols. Built on first request
-        and kept, since searches visit few nodes but the top ones often."""
-        pair = self._by_symbol.get(v)
+        and kept in `by_symbol`, since searches visit few nodes but the top
+        ones often."""
+        pair = self.by_symbol.get(v)
         if pair is None:
             kids = self.children[v]
             syms = bytes(sorted(kids))
-            pair = self._by_symbol[v] = (tuple(map(kids.__getitem__, syms)), syms)
+            pair = self.by_symbol[v] = (tuple(map(kids.__getitem__, syms)), syms)
         return pair
 
 

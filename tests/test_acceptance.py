@@ -347,3 +347,27 @@ def test_criterion_11_lz_phrases_within_twice_z_no(capfd):
             f"phrases <= 2*z_no on {runs - bad}/{runs} lz runs of criteria 1-2; "
             f"max p/z_no "
             + ", ".join(f"{algo} {ratio:.2f}" for algo, ratio in sorted(worst.items())))
+
+
+def test_criterion_12_snapshot_work_is_linear(capfd):
+    # each phase snapshots the known string at lengths that at least double,
+    # all at most n, so they sum to under 2n; an implicit suffix tree of L
+    # symbols has at most 2L nodes (at most L leaves, and fewer branching
+    # nodes than leaves, the root included). So a phase's snapshots hold
+    # under 4n nodes: under 4n per lz-prefix run (one phase) and under 8n
+    # per lz-substring run (two phases)
+    limit = {"lz-prefix": 4, "lz-substring": 8}
+    worst = {algo: 0.0 for algo in limit}
+    runs = bad = 0
+    for recs, _ in (_small_scale(), _at_scale()):
+        for r in recs:
+            if r.algo not in limit:
+                continue
+            runs += 1
+            ratio = sum(size for size, _ in r.rep.extras["decompositions"]) / r.m.n
+            bad += ratio >= limit[r.algo]
+            worst[r.algo] = max(worst[r.algo], ratio)
+    _report(capfd, 12, bad == 0 and runs > 0,
+            f"snapshot nodes < 4n per lz-prefix run and < 8n per lz-substring run on "
+            f"{runs - bad}/{runs} lz runs of criteria 1-2; max nodes/n "
+            + ", ".join(f"{algo} {ratio:.2f}" for algo, ratio in sorted(worst.items())))

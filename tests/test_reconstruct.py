@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strrecon import (
+    CentroidTree,
     Oracle,
     SuffixTree,
     Text,
+    decompose,
     from_letters,
     generate,
     measure,
@@ -460,10 +462,12 @@ def test_phrase_search_matches_the_closure_reference(side):
         tree = SuffixTree(sigma)
         tree.extend((known[::-1] if side == "left" else known)[: rng.randint(1, len(known))])
         runs = []
+        built = []
         for search in (_phrase_search, lambda s, c, m: _reference_phrase_search(s, c, m, paths)):
             for o in (Oracle(Text(hidden, sigma)), _LoggingOracle(Text(hidden, sigma))):
                 snap = tree.snapshot()
                 ct = decompose_snapshot(snap)
+                built.append((snap, ct))
                 model = _CallLog(cursor(o, side, known))
                 phrases = []
                 while len(phrases) < 3 and (not phrases or phrases[-1]):
@@ -472,9 +476,34 @@ def test_phrase_search_matches_the_closure_reference(side):
                 runs.append((phrases, model.calls, o.stats(), getattr(o, "log", None),
                              ct.placed, ct.parent))
         assert runs[0] == runs[2] and runs[1] == runs[3], (side, hidden, known)
+        # the components the searches placed inline are the ones the full
+        # decomposition has
+        for snap, ct in built:
+            assert ct.complete() == decompose(snap.children), (side, hidden, known)
     # the fallback is never reached: a walk that fails at every node climbs
     # to node 0, whose locus b"" is verified without a query
     assert paths["filter"] and not paths["unverified"]
+
+
+@pytest.mark.parametrize("algo", [reconstruct_lz_prefix, reconstruct_lz_substring],
+                         ids=["lz-prefix", "lz-substring"])
+def test_phrase_searches_never_call_the_checked_component_step(algo, monkeypatch):
+    # the search steps between centroids inline; with component_of raising,
+    # runs still recover the string and ask what an unpatched run asks
+    cases = [("random", 600, 2), ("random", 400, 16), ("fibonacci", 377, 2),
+             ("copy-paste(8)", 500, 4)]
+    hiddens = [generate(family, n, sigma, seed=5) for family, n, sigma in cases]
+    expected = [algo(Oracle(h), h.sigma) for h in hiddens]
+
+    def refuse(self, u, v):
+        raise AssertionError(f"component_of({u}, {v}) called")
+
+    monkeypatch.setattr(CentroidTree, "component_of", refuse)
+    for hidden, want in zip(hiddens, expected):
+        rep = algo(Oracle(hidden), hidden.sigma)
+        assert rep.recovered == hidden
+        assert rep.stats == want.stats
+        assert rep.extras["decompositions"] == want.extras["decompositions"]
 
 
 def test_max_true_exact_over_small_domain():
