@@ -27,18 +27,19 @@ decomposition takes O(m log m) (Della Giustina, Prezza and Venturini, SPIRE
 2019, avoid even the log factor).
 
 `CentroidTree.of` places only the root. Every other component waits in
-`pending` until a search first enters it: a component below a placed centroid
-c is keyed by its top, a child of c, and the one above c by ~c. `place` then
-puts its centroid, which is kept in `entered` under the same key. Placing a
-component reads and writes only the sizes inside it, and components are
-disjoint, so the order of placement cannot change any centroid: a phrase
-search that enters a tenth of the components pays for a tenth of the walks,
-and `complete()` (which `decompose` calls) places the rest to give the same
-tree as placing everything at once. A search moves only from a placed node
-to one of its tree neighbours, so the step needs the key alone.
-`component_of` is the checked entry point for such a step; the phrase search
-(`reconstruct._phrase_search`) makes the same step inline, reading `depth`,
-`entered` and `pending` itself.
+`pending` until a search first enters it, keyed 0 for the whole tree, by its
+top for one below a placed centroid c (a child of c), and ~c for the one above
+c. `place(key)` takes it out, hangs its centroid under the centroid above
+(`tree_parent[key]` for a key >= 0, else ~key) and keeps it in `entered`
+under the same key. Placing a component reads and writes only the sizes
+inside it, and components are disjoint, so the order of placement cannot
+change any centroid: a phrase search that enters a tenth of the components
+pays for a tenth of the walks, and `complete()` (which `decompose` calls)
+places the rest to give the same tree as placing everything at once. A
+search moves only from a placed node to one of its tree neighbours, so the
+step needs the key alone. `component_of` is the checked entry point for such
+a step; the phrase search (`reconstruct._phrase_search`) makes the same step
+inline, reading `depth` and `entered` itself.
 """
 from __future__ import annotations
 
@@ -48,17 +49,15 @@ from dataclasses import dataclass, field
 @dataclass(slots=True)
 class CentroidTree:
     """Decomposition over node ids of the decomposed tree; a node not placed
-    yet has parent and depth -1."""
+    yet has parent and depth -1; height, balance and the placed count are
+    read off the two."""
 
     root: int
     parent: list[int]          # centroid-tree parent per node, -1 at the root
     depth: list[int]           # centroid-tree depth per node
-    height: int                # of the placed part
-    balanced: bool             # every split produced components of size <= m/2
     # the decomposed tree's parent per node, -1 at node 0: the inverse of
     # its child maps, kept after complete()
     tree_parent: list[int] = field(compare=False, repr=False)
-    placed: int = field(default=0, compare=False, repr=False)  # nodes placed so far
     # until complete(), the child maps and in-component sizes; the pending
     # components (key -> top) and the entered ones (key -> centroid), keyed
     # as in the module docstring
@@ -70,6 +69,25 @@ class CentroidTree:
     @property
     def size(self) -> int:
         return len(self.parent)
+
+    @property
+    def placed(self) -> int:
+        return len(self.depth) - self.depth.count(-1)
+
+    @property
+    def height(self) -> int:  # of the placed part
+        return max(self.depth) + 1
+
+    @property
+    def balanced(self) -> bool:
+        """Every centroid's subtree in the centroid tree holds at most half of
+        its parent centroid's (defined once complete() has run)."""
+        parent = self.parent
+        sub = [1] * len(parent)
+        for v in sorted(range(len(parent)), key=self.depth.__getitem__, reverse=True):
+            if parent[v] >= 0:
+                sub[parent[v]] += sub[v]
+        return all(2 * sub[v] <= sub[p] for v, p in enumerate(parent) if p >= 0)
 
     @classmethod
     def of(cls, kids: list) -> CentroidTree:
@@ -97,18 +115,17 @@ class CentroidTree:
         size = [1] * m
         for v in reversed(order[1:]):
             size[up[v]] += size[v]
-        ct = cls(0, [-1] * m, [-1] * m, 0, True, up, 0, kids, size)
-        ct.root = ct.place(0, -1)
+        ct = cls(0, [-1] * m, [-1] * m, up, kids, size, {0: 0})
+        ct.root = ct.place(0)
         return ct
 
-    def place(self, top: int, above: int) -> int:
-        """Place the centroid of the pending component whose top is `top`
-        under centroid `above` (-1 for the root); return it. The caller has
-        taken the component out of `pending` and stores the centroid in
-        `entered`."""
-        kids, size, up = self._kids, self._size, self.tree_parent
+    def place(self, key: int) -> int:
+        """Place the centroid of the component pending under `key`, keep it
+        in `entered` under that key and return it."""
+        kids, size, up, pending = self._kids, self._size, self.tree_parent, self.pending
+        top = pending.pop(key)
+        above = up[key] if key >= 0 else ~key
         msize = size[top]
-        half = msize // 2
         # walk down through the child holding more than half the component;
         # the only other possible centroid is a child of exactly half the
         # component, where the walk stops, and the smaller node id wins
@@ -129,18 +146,12 @@ class CentroidTree:
         below = depth[c] + 1
         sc = size[c]
         size[c] = 0
-        pending = self.pending
-        worst = msize - sc  # the largest part left: the parent side, or a child below
-        ones = 0
         for w in kids[c].values():
             sw = size[w]
-            if sw > worst:
-                worst = sw
             if sw == 1:  # a one-node component is its own centroid: place it now
                 size[w] = 0
                 parent[w] = c
                 depth[w] = below
-                ones += 1
             elif sw:
                 pending[w] = w
         if c != top:
@@ -154,22 +165,16 @@ class CentroidTree:
                 size[top] = 0
                 parent[top] = c
                 depth[top] = below
-                ones += 1
             else:
                 pending[~c] = top
-        if worst > half:
-            self.balanced = False
-        self.placed += 1 + ones
-        self.height = max(self.height, below + 1 if ones else below)
+        self.entered[key] = c
         return c
 
     def complete(self) -> CentroidTree:
-        """Place every pending component, each stored under its key as
-        `component_of` stores it; returns self."""
-        pending, up, entered = self.pending, self.tree_parent, self.entered
-        while pending:
-            key, top = pending.popitem()
-            entered[key] = self.place(top, up[key] if key > 0 else ~key)
+        """Place every pending component; returns self."""
+        while self.pending:  # each pass places what the last one left pending
+            for key in list(self.pending):
+                self.place(key)
         self._kids = self._size = None
         return self
 
@@ -188,12 +193,9 @@ class CentroidTree:
         if 0 <= dv <= depth[u]:
             return None
         key = v if up[v] == u else ~u
-        c = self.entered.get(key)
-        if c is None:
-            if dv >= 0:
-                return v
-            c = self.entered[key] = self.place(self.pending.pop(key), u)
-        return c
+        if key in self.entered:
+            return self.entered[key]
+        return v if dv >= 0 else self.place(key)
 
 
 def decompose(kids: list) -> CentroidTree:

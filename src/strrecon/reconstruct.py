@@ -51,21 +51,16 @@ class ReconstructionReport:
     extras: dict = field(default_factory=dict)
 
 
-def _max_true(pred, cap: int | None = None) -> int:
-    """Largest l (at most cap, if given) with pred(l) true, for monotone
-    pred with pred(1) true; raises ValueError when cap < 1 leaves no l.
+def _max_true(pred) -> int:
+    """Largest l with pred(l) true, for monotone pred with pred(1) true.
 
-    Doubles from 1 until failure (or past `cap`), then bisects:
+    Doubles from 1 until failure, then bisects:
     at most 2*ceil(log2(answer)) + 2 calls.
     """
     lo, hi = 1, 2
-    while (cap is None or hi <= cap) and pred(hi):
+    while pred(hi):
         lo = hi
         hi *= 2
-    if cap is not None and hi > cap:
-        if cap < 1:
-            raise ValueError(f"cap {cap} < 1: no length to search")
-        hi = cap + 1  # pred is unknown on (lo, cap]; treat cap+1 as false
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if pred(mid):
@@ -95,7 +90,7 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
     queries, ascending); an unverified one is left through its suffix-tree
     parent `ct.tree_parent[u]`. Each step to the next centroid is made
     inline, as `ct.component_of` would answer it, from `ct.depth` and the map
-    `ct.entered`; the search calls into `ct` only to place a pending
+    `ct.entered`; the search calls `ct.place(key)` only to place a pending
     component the first time any search enters it. A walk that fails at
     every node climbs to node 0, whose locus b"" holds, so it always
     verifies one. Once it leaves the decomposition, the deepest verified node
@@ -118,7 +113,7 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
     probe, first = model.probe, model.first
     text, depth, first_occ, parent = snap.text, snap.depth, snap.first_occ, ct.tree_parent
     by_symbol, children_by_symbol = snap.by_symbol, snap.children_by_symbol
-    cdepth, entered, pending, place = ct.depth, ct.entered, ct.pending, ct.place
+    cdepth, entered, place = ct.depth, ct.entered, ct.place
     seen: dict[int, bool] = {0: True}  # node -> the answer for locus(node)
     failed: dict[int, list[int]] = {}  # node -> its one-symbol children whose loci were false
     u: int | None = ct.root  # the next centroid to visit; None once the walk leaves
@@ -176,7 +171,7 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
             elif dv >= 0:  # a one-node component, placed with its parent centroid
                 u = v
             else:
-                u = entered[key] = place(pending.pop(key), u)
+                u = place(key)
 
 
 def _grow_symbols(sigma: int, model, seed: bytes) -> int:

@@ -1,6 +1,7 @@
 """Centroid decomposition against brute-force component checks."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -325,6 +326,15 @@ def test_one_node_components_at_the_deepest_level(kids, root, parent, depth, hei
     ct = decompose(kids)
     assert (ct.root, ct.parent, ct.depth, ct.height, ct.balanced) == (root, parent, depth, height, True)
     check_decomposition(kids)
+
+
+def test_height_and_balance_are_read_off_the_arrays():
+    # no real decomposition is unbalanced, so hang path(5) from an end node
+    # instead of its middle: each centroid keeps all but one node below it
+    ct = dataclasses.replace(decompose(path(5)), root=0, parent=[-1, 0, 1, 2, 3],
+                             depth=[0, 1, 2, 3, 4])
+    assert not ct.balanced
+    assert (ct.height, ct.placed) == (5, 5)
 
 
 def test_suffix_tree_decomposition_is_logarithmic():

@@ -1,5 +1,6 @@
-"""The README's library example runs as written, and its list of modules to
-read next names exactly the package's modules."""
+"""The README's library example runs as written, its list of modules to read
+next names exactly the package's modules, and it counts the acceptance
+criteria right."""
 from __future__ import annotations
 
 import pathlib
@@ -7,7 +8,10 @@ import re
 
 import strrecon
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+NUMBERS = ("zero one two three four five six seven eight nine ten eleven twelve "
+           "thirteen fourteen fifteen sixteen seventeen eighteen nineteen twenty").split()
 
 
 def library_section() -> str:
@@ -30,3 +34,9 @@ def test_where_to_read_next_names_every_module():
     assert len(named) == len(set(named))
     modules = {p.name for p in pathlib.Path(strrecon.__file__).parent.glob("*.py")}
     assert set(named) == modules - {"__init__.py"}
+
+
+def test_readme_counts_every_acceptance_criterion():
+    (word,) = re.findall(r"(\w+) end-to-end criteria", README.read_text())
+    criteria = re.findall(r"^def test_criterion_\w+", (ROOT / "tests" / "test_acceptance.py").read_text(), re.M)
+    assert NUMBERS.index(word) == len(criteria)

@@ -384,6 +384,23 @@ def test_phrase_search_asks_around_a_child_whose_locus_was_asked():
     assert model.calls == [("probe", "bb", False), ("first", "", "ab", 1), ("first", "b", "a", -1)]
 
 
+def _capped_max_true(pred, cap: int) -> int:
+    """Largest l <= cap with pred(l) true, for monotone pred with pred(1)
+    true and cap >= 1: doubles from 1 while at most cap, then bisects below
+    cap + 1, which counts as false unasked."""
+    lo, hi = 1, 2
+    while hi <= cap and pred(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, cap + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _reference_phrase_search(snap, ct, model, paths: Counter) -> bytes:
     """The phrase search as a closure per search and a helper call per
     visited node, as it was before `reconstruct._phrase_search` became one
@@ -434,7 +451,7 @@ def _reference_phrase_search(snap, ct, model, paths: Counter) -> bytes:
     while nxt >= 0:
         f, d, e = first_occ[nxt], depth[best], depth[nxt]
         a = seen.get(nxt)
-        k = _max_true(lambda l: probe(text[f : f + d + l]) if a is None or d + l < e else a, cap=e - d)
+        k = _capped_max_true(lambda l: probe(text[f : f + d + l]) if a is None or d + l < e else a, e - d)
         if d + k < e:
             return text[f : f + d + k]
         found = text[f : f + e]
@@ -447,9 +464,12 @@ def test_phrase_search_matches_the_closure_reference(side):
     # up to three searches in a row over one (often stale) snapshot, as the
     # LZ loop makes them, through the native cursors of a plain Oracle and
     # through the full queries of a logging subclass: the same phrases, the
-    # same cursor calls and queries, the same charges and placed centroids
+    # same cursor calls and queries, the same charges and placed centroids.
+    # 250 short random cases, then 60 longer low-entropy ones, whose deep
+    # centroid trees and long edges the short ones seldom reach
     rng = random.Random(28)
     paths: Counter = Counter()
+    cases = []  # (sigma, hidden, known, how much of known the tree holds)
     for case in range(250):
         sigma = rng.choice((2, 3, 5))
         hidden = bytes(rng.randint(1, sigma) for _ in range(rng.randint(1, 40)))
@@ -459,8 +479,19 @@ def test_phrase_search_matches_the_closure_reference(side):
             known = hidden[:j] if side == "prefix" else hidden[i:j]
         else:
             known = bytes(rng.randint(1, sigma) for _ in range(rng.randint(1, 20)))
+        cases.append((sigma, hidden, known, rng.randint(1, len(known))))
+    families = ("fibonacci", "thue-morse", "copy-paste(5)", "runs(3)", "periodic")
+    for case in range(60):
+        family = families[case % len(families)]
+        sigma = 2 if family in ("fibonacci", "thue-morse") else rng.choice((2, 3, 5))
+        hidden = generate(family, rng.randint(60, 300), sigma, seed=case).symbols
+        i = rng.randrange(len(hidden) // 2)  # a piece of at least a quarter
+        j = rng.randint(i + len(hidden) // 4, len(hidden))
+        known = hidden[:j] if side == "prefix" else hidden[i:j]
+        cases.append((sigma, hidden, known, rng.randint(1, len(known))))
+    for sigma, hidden, known, held in cases:
         tree = SuffixTree(sigma)
-        tree.extend((known[::-1] if side == "left" else known)[: rng.randint(1, len(known))])
+        tree.extend((known[::-1] if side == "left" else known)[:held])
         runs = []
         built = []
         for search in (_phrase_search, lambda s, c, m: _reference_phrase_search(s, c, m, paths)):
@@ -517,20 +548,6 @@ def test_max_true_exact_over_small_domain():
 
         assert _max_true(pred) == answer
         assert calls <= 2 * max(1, answer.bit_length()) + 2
-
-
-def test_max_true_respects_cap():
-    for answer in range(1, 20):
-        for cap in range(1, 25):
-            got = _max_true(lambda l, _a=answer: l <= _a, cap=cap)
-            assert got == min(answer, cap)
-
-
-def test_max_true_rejects_a_cap_below_one():
-    # no length in [1, cap] is left to return; 1 was returned unasked
-    for cap in (0, -3):
-        with pytest.raises(ValueError):
-            _max_true(lambda l: pytest.fail(f"pred({l}) asked"), cap=cap)
 
 
 def test_bound_holds_rejects_unknown_algorithm():
@@ -731,14 +748,34 @@ PINNED_TRANSCRIPTS = {
 }
 
 
+# (size, placed) per snapshot decomposition of the LZ runs below, one list
+# per string: the centroids the searches place, read off the depths
+PINNED_DECOMPOSITIONS = {
+    "lz-prefix": [
+        [(2, 2), (3, 3), (6, 6), (11, 11), (22, 14), (46, 23), (101, 46), (207, 98), (416, 49)],
+        [(2, 2), (2, 2), (2, 2), (11, 7), (28, 5), (28, 5), (28, 5)],
+        [(2, 2), (3, 3), (5, 5), (6, 6), (6, 6), (6, 6), (6, 6)],
+        [(2, 2), (3, 3), (5, 3), (9, 5), (25, 7), (67, 7), (177, 14)]],
+    "lz-substring": [
+        [(2, 2), (2, 2), (7, 4), (12, 9), (22, 16), (49, 31), (101, 64), (211, 93), (425, 5), (440, 43)],
+        [(2, 2), (2, 2), (2, 2), (11, 7), (28, 5), (28, 5), (28, 5), (28, 1)],
+        [(2, 2), (3, 3), (5, 5), (6, 6), (6, 6), (6, 6), (6, 6), (6, 6)],
+        [(2, 2), (2, 2), (5, 5), (11, 5), (27, 6), (69, 10), (109, 11), (181, 7)]],
+}
+
+
 @pytest.mark.parametrize("algo", ALGOS, ids=ALGO_NAMES)
 def test_transcripts_match_pinned_digests(algo):
     # a refactor that still reconstructs exactly but asks other queries, or
-    # the same ones in another order, changes these digests
+    # the same ones in another order, changes these digests; one that places
+    # other centroids changes the LZ runs' decomposition records
     h = hashlib.sha256()
+    records = []
     for family, n, sigma in [("random", 300, 4), ("runs(5)", 200, 3),
                              ("periodic", 120, 5), ("fibonacci", 233, 2)]:
         hidden = generate(family, n, sigma, seed=1)
         rep = algo(_HashingOracle(hidden, h), sigma)
         assert rep.recovered.symbols == hidden.symbols
+        records.append(rep.extras.get("decompositions"))
     assert h.hexdigest() == PINNED_TRANSCRIPTS[rep.algorithm]
+    assert records == PINNED_DECOMPOSITIONS.get(rep.algorithm, [None] * 4)
