@@ -2,8 +2,9 @@
 
 Reconstruction code only ever sees an :class:`Oracle`; the hidden string is
 never exposed. Every query is counted, including repeated identical ones:
-each query method and each native cursor's ``probe`` and ``first`` update the
-oracle's stats in place, so that each is one Python call.
+each query method and each native cursor's ``probe``, ``first`` and ``step``
+update the oracle's stats in place, so that each is one Python call; ``step``
+asks and charges what ``first`` does and, only on a hit, also advances.
 """
 from __future__ import annotations
 
@@ -129,6 +130,28 @@ class _Right:
                 st.max_query_length = length
         return i
 
+    def step(self, symbols) -> int:
+        # first(symbols) inline, then a move along the transition it read
+        i = -1
+        out = self._nxt[self._state] if self._state >= 0 else {}
+        for c in out:
+            if c in symbols:
+                j = symbols.index(c)
+                if j < i or i < 0:
+                    i = j
+        times = i + 1 or len(symbols)
+        st = self._stats
+        length = len(self._known) + 1
+        st.substring_queries += times
+        st.total_queried_symbols += length * times
+        if times and length > st.max_query_length:
+            st.max_query_length = length
+        if i >= 0:
+            c = symbols[i]
+            self._known.append(c)
+            self._state = out[c]
+        return i
+
     def advance(self, t) -> None:
         self._known += t
         self._state = self._walk(self._state, t)
@@ -189,6 +212,13 @@ class _Prefix:
                 st.max_query_length = length
         return i
 
+    def step(self, symbols) -> int:
+        i = self.first(symbols)
+        if i >= 0:  # known + symbols[i] is a prefix of hay, so _ok still holds
+            self._known.append(symbols[i])
+            self._k += 1
+        return i
+
     def advance(self, t) -> None:
         self._ok = self._ok and self._hay.startswith(t, self._k)
         self._known += t
@@ -223,6 +253,12 @@ class _Full:
                 return i
         return -1
 
+    def step(self, symbols) -> int:
+        i = self.first(symbols)
+        if i >= 0:
+            self.advance(bytes((symbols[i],)))
+        return i
+
     def advance(self, t) -> None:
         self._known = self._join(t)
 
@@ -242,22 +278,26 @@ def cursor(o, side: str, known: bytes = b""):
     ``first(symbols, mid=b"")`` asks the probes ``mid + c`` for each ``c`` in
     ``symbols``, in order, and returns the index of the first true one, or
     -1, charging one query of ``len(known) + len(mid) + 1`` symbols per
-    symbol tried. ``advance(t)`` extends known and asks nothing;
-    ``result()`` returns known.
+    symbol tried. ``step(symbols)`` asks, charges and returns what
+    ``first(symbols)`` does and, only on a hit, extends known by the symbol
+    found. ``advance(t)`` extends known and asks nothing; ``result()``
+    returns known.
 
     Only an object whose class is exactly Oracle gets a native cursor, which
     keeps the match state of known and charges its own queries: a probe takes
     time linear in t; ``first`` takes time linear in ``mid`` plus the reached
     automaton state's transitions (fewer than three on average), each looked
     up in ``symbols``, on the right side, and one compare and one lookup in
-    ``symbols`` on the prefix side; it never iterates over ``symbols``. The
-    native left cursor is the prefix cursor over the reversed hidden string,
-    so it serves a `known` that occurs nowhere or only as a prefix, the only
-    kind a left phase starts from; any other `known` gets the full-query
-    cursor below, on a plain Oracle too. Any other object (a wrapper, or a
-    subclass that overrides the query methods) is asked each full query as new
-    bytes, in order and ``first`` included, through its contains_substring or
-    is_prefix, with the same answers and counts, and may keep it.
+    ``symbols`` on the prefix side; it never iterates over ``symbols``, and
+    neither does ``step``, whose right cursor moves along the transition it
+    read. The native left cursor is the prefix cursor over the reversed
+    hidden string, so it serves a `known` that occurs nowhere or only as a
+    prefix, the only kind a left phase starts from; any other `known` gets
+    the full-query cursor below, on a plain Oracle too. Any other object (a
+    wrapper, or a subclass that overrides the query methods) is asked each
+    full query as new bytes, in order and ``first`` and ``step`` included,
+    through its contains_substring or is_prefix, with the same answers and
+    counts, and may keep it.
     """
     if side not in _SIDES:
         raise ValueError(f"unknown cursor side {side!r}; expected one of {', '.join(_SIDES)}")

@@ -51,25 +51,6 @@ class ReconstructionReport:
     extras: dict = field(default_factory=dict)
 
 
-def _max_true(pred) -> int:
-    """Largest l with pred(l) true, for monotone pred with pred(1) true.
-
-    Doubles from 1 until failure, then bisects:
-    at most 2*ceil(log2(answer)) + 2 calls.
-    """
-    lo, hi = 1, 2
-    while pred(hi):
-        lo = hi
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def decompose_snapshot(snap: TreeSnapshot) -> CentroidTree:
     """The centroid decomposition of one snapshot's child maps, as the LZ
     loop rebuilds it: validated and sized, with only its root placed.
@@ -95,7 +76,7 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
     every node climbs to node 0, whose locus b"" holds, so it always
     verifies one. Once it leaves the decomposition, the deepest verified node
     is extended from the child picked for it, one edge at a time, each by an
-    exponential search as in `_max_true`, asked inline.
+    exponential search (doubling, then bisection), asked inline.
 
     Each distinct t is asked at most once, with no memo of query strings.
     Every t is a point on a root path of the snapshot, and:
@@ -175,48 +156,58 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
 
 
 def _grow_symbols(sigma: int, model, seed: bytes) -> int:
-    """Naive: one symbol per step, the smallest that extends, found by one
-    `first` call over 1..sigma that charges one query per symbol tried; at
-    most sigma queries per step plus one full round of failures."""
-    first, advance = model.first, model.advance
+    """Naive: one symbol per step, the smallest that extends, found and taken
+    by one `step` call over 1..sigma that charges one query per symbol tried;
+    at most sigma queries per step plus one full round of failures."""
+    step = model.step
     symbols = bytes(range(1, sigma + 1))
     for steps in count():
-        i = first(symbols)
-        if i < 0:
+        if step(symbols) < 0:
             return steps
-        advance(_SYMBOLS[i + 1])
 
 
 def _grow_runs(sigma: int, model, seed: bytes) -> int:
-    """rle: one maximal run per step; its symbol is found by one `first` call
-    over 1..sigma without the skipped symbol (at most sigma queries),
-    then its length by an exponential search.
+    """rle: one maximal run per step; its symbol is found and its first copy
+    taken by one `step` call over 1..sigma without the skipped symbol (at
+    most sigma queries), then the rest of the run is found by an exponential
+    search (<= 2 * bit_length(run) + 2 probes) and taken by one `advance`.
 
     Each accepted run is maximal at its (unique, by the suffix invariant)
     occurrence, so the same symbol cannot start the next run and is skipped.
     The last run of the seed is maximal as well (it was found as the longest
     run of its symbol anywhere, or accepted by a failed longer probe).
     """
-    first, probe = model.first, model.probe
+    step, probe, advance = model.step, model.probe, model.advance
     symbols = bytes(range(1, sigma + 1))
     without = [symbols.replace(_SYMBOLS[c], b"") for c in range(sigma + 1)]
     skip = seed[-1] if seed else 0
     for steps in count():
         rest = without[skip]
-        i = first(rest)
+        i = step(rest)
         if i < 0:
             return steps
         skip = rest[i]
         unit = _SYMBOLS[skip]
-        model.advance(unit * _max_true(lambda l: probe(unit * l)))
+        lo, hi = 0, 1  # copies beyond the first: lo verified, hi not
+        while probe(unit * hi):
+            lo, hi = hi, 2 * hi + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if probe(unit * mid):
+                lo = mid
+            else:
+                hi = mid
+        if lo:
+            advance(unit * lo)
 
 
 def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
     """Phrase-at-a-time growth loop shared by the LZ reconstructors.
 
-    Each step takes the phrase search's answer or, when it is empty, the
-    smallest fresh symbol that extends, by one `first` call over the symbols
-    absent from the snapshot's text (the search asked all the others).
+    Each step takes the phrase search's answer by one `advance` or, when it
+    is empty, the smallest fresh symbol that extends, found and taken by one
+    `step` call over the symbols absent from the snapshot's text (the search
+    asked all the others).
 
     The suffix tree is read only through snapshots: the first once the
     known string holds a symbol (the empty string's tree has nothing to
@@ -247,14 +238,15 @@ def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
             rebuild_at = len(grown) * _REBUILD_FACTOR
             fresh = symbols.translate(None, snap.text)
         phrase = _phrase_search(snap, ct, model) if ct is not None else b""
-        if not phrase:
-            i = model.first(fresh)
+        if phrase:
+            model.advance(phrase)
+        else:
+            i = model.step(fresh)
             if i < 0:
                 if ct is not None:
                     records.append((ct.size, ct.placed))
                 return phrases
             phrase = _SYMBOLS[fresh[i]]
-        model.advance(phrase)
         grown += phrase
 
 

@@ -195,11 +195,12 @@ def test_cursors_match_brute_force_on_the_canonical_query(data):
     # seeds and steps are true extensions, pieces of the hidden string
     # forward or reversed, or free strings with symbols 0 and sigma + 1
     # (never in the hidden string): verified or not, unique or not, empty
-    # or not; first() steps try symbol lists in any order, with duplicates,
-    # empty, and with symbols that have no transition anywhere in a right
-    # cursor's automaton (0, and above the hidden string's largest symbol,
-    # which sigma may exceed), after a mid that is empty, a true extension or
-    # free
+    # or not; first() and step() try symbol lists, as bytes or as lists, in
+    # any order, with duplicates, empty, and with symbols that have no
+    # transition anywhere in a right cursor's automaton (0, and above the
+    # hidden string's largest symbol, which sigma may exceed), first() after
+    # a mid that is empty, a true extension or free; a step advances both
+    # cursors by the symbol it found, and leaves them as they were on a miss
     top = data.draw(st.integers(min_value=1, max_value=3))
     s = bytes(data.draw(st.lists(st.integers(1, top), min_size=1, max_size=40)))
     sigma = top + data.draw(st.sampled_from([0, 0, 1, 2]))
@@ -213,27 +214,34 @@ def test_cursors_match_brute_force_on_the_canonical_query(data):
     cursors = [cursor(native_o, side, known), cursor(_PassThrough(full_o), side, known)]
     calls = symbols = longest = 0
     for _ in range(data.draw(st.integers(0, 30))):
-        step = data.draw(st.sampled_from(["probe", "advance", "first"]))
+        step = data.draw(st.sampled_from(["probe", "advance", "first", "step"]))
         ext = _extensions(s, side, known)
-        if step == "first":
+        if step in ("first", "step"):
             tried = data.draw(st.lists(st.integers(0, sigma + 1), max_size=6))
             if data.draw(st.booleans()):
                 tried = bytes(tried)
-            mid = data.draw(st.one_of(st.just(b""), st.sampled_from(ext) if ext else free, free))
+            mid = b"" if step == "step" else data.draw(
+                st.one_of(st.just(b""), st.sampled_from(ext) if ext else free, free))
             q = [bytes((c,)) + mid[::-1] + known if side == "left" else known + mid + bytes((c,))
                  for c in tried]
             hits = [i for i, qc in enumerate(q) if _holds(s, side, qc)]
             expected = hits[0] if hits else -1
-            if mid or data.draw(st.booleans()):
-                answers = [c.first(tried, mid) for c in cursors]
-            else:  # the default mid
-                answers = [c.first(tried) for c in cursors]
-            assert answers == [expected, expected], (s, side, known, mid, tried)
             asked = expected + 1 if hits else len(tried)
             calls += asked
             symbols += asked * (len(known) + len(mid) + 1)
             if asked:
                 longest = max(longest, len(known) + len(mid) + 1)
+            if step == "step":
+                answers = [c.step(tried) for c in cursors]
+                if hits:
+                    took = bytes((tried[expected],))
+                    known = took + known if side == "left" else known + took
+                assert [c.result() for c in cursors] == [known, known], (s, side, known, tried)
+            elif mid or data.draw(st.booleans()):
+                answers = [c.first(tried, mid) for c in cursors]
+            else:  # the default mid
+                answers = [c.first(tried) for c in cursors]
+            assert answers == [expected, expected], (s, side, known, mid, tried)
             assert native_o.stats() == full_o.stats()
             continue
         t = data.draw(st.sampled_from(ext) if ext and data.draw(st.booleans()) else free)
@@ -381,3 +389,36 @@ def test_right_first_over_255_symbols_matches_full_queries(family, n):
                                       (_NoIter(tried), tried)):
                     assert right.first(native, mid) == full.first(plain, mid), (known, mid, tried)
                     assert native_o.stats() == full_o.stats()
+        # step(): the brute-force index, and an advance by that symbol only
+        # on a hit, from a fresh pair of cursors per symbol list
+        for tried in lists:
+            hits = [i for i, c in enumerate(tried) if known + bytes((c,)) in s]
+            want = hits[0] if hits else -1
+            after = known + bytes((tried[want],)) if hits else known
+            for native, plain in ((tried, tried), (bytes(tried), bytes(tried)),
+                                  (_NoIter(tried), tried)):
+                right = cursor(native_o, "right", known)
+                full = cursor(_PassThrough(full_o), "right", known)
+                assert right.step(native) == full.step(plain) == want, (known, tried)
+                assert right.result() == full.result() == after
+                assert native_o.stats() == full_o.stats()
+
+
+@pytest.mark.parametrize("side", ["right", "left", "prefix"])
+def test_step_from_an_unverified_known_asks_every_symbol_and_takes_none(side):
+    # right state -1 (the known string occurs nowhere), or a prefix cursor
+    # whose known is not a prefix (_ok False), the left one over the
+    # reversed hidden string; symbols as bytes and as lists, with duplicates
+    # and with symbols the hidden string lacks
+    s = from_letters("abcab").symbols
+    known = b"\x03\x03"
+    for tried in (b"\x01\x02\x03", [3, 1, 1, 0, 2]):
+        native_o, full_o = Oracle(Text(s, 3)), Oracle(Text(s, 3))
+        native = cursor(native_o, side, known)
+        full = cursor(_PassThrough(full_o), side, known)
+        assert (native._state == -1) if side == "right" else (native._ok is False)
+        assert native.step(tried) == full.step(tried) == -1
+        assert native.result() == full.result() == known
+        assert native_o.stats() == full_o.stats()
+        assert native_o.stats().total_queries == len(tried)
+        assert native_o.stats().total_queried_symbols == len(tried) * (len(known) + 1)

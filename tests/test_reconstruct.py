@@ -1,9 +1,11 @@
 """Exactness and query bounds of the four reconstruction algorithms."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -25,9 +27,10 @@ from strrecon import (
     to_letters,
 )
 from strrecon import oracle, reconstruct
+from strrecon.automaton import SuffixAutomaton
 from strrecon.bench import bound_holds, run_one
 from strrecon.oracle import cursor
-from strrecon.reconstruct import _max_true, _phrase_search, decompose_snapshot
+from strrecon.reconstruct import _phrase_search, decompose_snapshot
 from strrecon.text import MAX_SIGMA
 
 ALGOS = [reconstruct_naive, reconstruct_rle, reconstruct_lz_prefix, reconstruct_lz_substring]
@@ -211,11 +214,17 @@ def test_searches_place_few_centroids():
 
 class _Lengths:
     """A cursor that passes every call on to `inner` and logs the known
-    string's length at the start and after each advance."""
+    string's length at the start and after each advance or taking step."""
 
     def __init__(self, inner, known: bytes):
         self.inner, self.probe, self.first = inner, inner.probe, inner.first
         self.lengths = [len(known)]
+
+    def step(self, symbols) -> int:
+        i = self.inner.step(symbols)
+        if i >= 0:
+            self.lengths.append(self.lengths[-1] + 1)
+        return i
 
     def advance(self, t) -> None:
         self.inner.advance(t)
@@ -537,17 +546,95 @@ def test_phrase_searches_never_call_the_checked_component_step(algo, monkeypatch
         assert rep.extras["decompositions"] == want.extras["decompositions"]
 
 
-def test_max_true_exact_over_small_domain():
-    for answer in range(1, 70):
-        calls = 0
+class _Counted:
+    """A cursor that logs (its class name, method, answer) for each call and
+    passes it on to `inner`."""
 
-        def pred(l, _a=answer):
-            nonlocal calls
-            calls += 1
-            return l <= _a
+    def __init__(self, inner, log: list):
+        self._inner, self._log = inner, log
 
-        assert _max_true(pred) == answer
-        assert calls <= 2 * max(1, answer.bit_length()) + 2
+    def __getattr__(self, name):
+        method = getattr(self._inner, name)
+
+        def call(*args):
+            answer = method(*args)
+            self._log.append((type(self._inner).__name__, name, answer))
+            return answer
+
+        return call
+
+
+@pytest.fixture
+def cursor_calls(monkeypatch) -> list[tuple]:
+    """Every call the reconstructors make on their cursors from now on, as
+    `_Counted` logs it; the cursors themselves are the ones `cursor` makes."""
+    calls: list[tuple] = []
+    make = reconstruct.cursor
+    monkeypatch.setattr(reconstruct, "cursor", lambda *args: _Counted(make(*args), calls))
+    return calls
+
+
+def test_rle_run_length_search_asks_at_most_2_bit_length_plus_2_probes(cursor_calls):
+    # in a^k b, the right phase's first step takes a; the probes before its
+    # next step count the rest of a's run, and only a longer run is advanced
+    for k in range(1, 70):
+        hidden = Text(b"\x01" * k + b"\x02", 2)
+        cursor_calls.clear()
+        assert reconstruct_rle(Oracle(hidden), 2).recovered == hidden
+        names = [name for _, name, _ in cursor_calls]
+        assert cursor_calls[0] == ("_Right", "step", 0)
+        search = names[1 : names.index("step", 1)]
+        assert search.count("probe") <= 2 * k.bit_length() + 2, k
+        assert search.count("advance") == (k > 1), k
+
+
+def test_naive_and_rle_grow_by_step_calls_on_native_cursors(cursor_calls):
+    # deterministic call counts, which a timing cannot give: naive takes each
+    # recovered symbol by one step and ends each phase with one failing step;
+    # rle on periodic text (every run of length one) makes no advance
+    for family, n, sigma in [("random", 400, 4), ("fibonacci", 300, 2), ("periodic", 500, 26)]:
+        hidden = generate(family, n, sigma, seed=3)
+        hidden = Text(hidden.symbols[7:], sigma)  # so the left phase has symbols to take
+        cursor_calls.clear()
+        assert reconstruct_naive(Oracle(hidden), sigma).recovered == hidden
+        assert {kind for kind, _, _ in cursor_calls} == {"_Right", "_Prefix"}
+        counts = Counter((name, answer >= 0) for _, name, answer in cursor_calls if name != "result")
+        assert counts == {("step", True): len(hidden), ("step", False): 2}, family
+    hidden = Text(generate("periodic", 500, 26).symbols[7:], 26)
+    cursor_calls.clear()
+    assert reconstruct_rle(Oracle(hidden), 26).recovered == hidden
+    counts = Counter(name for _, name, _ in cursor_calls)
+    assert counts == {"step": len(hidden) + 2, "probe": len(hidden), "result": 2}
+
+
+# Bytes per symbol a naive or rle run may hold at its peak: the hidden
+# string's suffix automaton, bounded by 700 bytes per symbol in
+# tests/test_automaton.py (random text is its worst case), plus the run's
+# byte strings. Fewer than ten of at most 2n bytes are alive at once: the
+# cursor's known string and the result copies `_drive` and `result()` make,
+# the reversed hidden and known strings of the left cursor, and one probe or
+# advance argument (an rle probe may reach twice a run's length).
+_LINEAR_SPACE_BYTES_PER_SYMBOL = 700 + 10 * 2
+
+
+@pytest.mark.parametrize("algo", [reconstruct_naive, reconstruct_rle], ids=["naive", "rle"])
+def test_naive_and_rle_run_in_linear_space(algo, monkeypatch):
+    # one constant bounds the traced peak per symbol at two sizes, the
+    # automaton build included (no build of the string is kept beforehand);
+    # a run that kept a copy of the known string per step would need
+    # quadratic space and fail at the first size
+    for n in (10**4, 4 * 10**4):
+        hidden = generate("random", n, 2, seed=n)
+        monkeypatch.setattr(SuffixAutomaton, "_last", None)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rep = algo(Oracle(hidden), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.recovered == hidden
+        assert peak <= _LINEAR_SPACE_BYTES_PER_SYMBOL * n, (n, f"{peak / n:.0f} bytes per symbol")
 
 
 def test_bound_holds_rejects_unknown_algorithm():
