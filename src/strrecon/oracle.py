@@ -2,9 +2,9 @@
 
 Reconstruction code only ever sees an :class:`Oracle`; the hidden string is
 never exposed. Every query is counted, including repeated identical ones:
-each query method and each native cursor's ``probe``, ``first`` and ``step``
-update the oracle's stats in place, so that each is one Python call; ``step``
-asks and charges what ``first`` does and, only on a hit, also advances.
+each query method and each native cursor's ``probe`` and ``first`` update
+the oracle's stats in place, so that each is one Python call; ``step`` asks
+and charges through ``first`` and, only on a hit, also advances.
 """
 from __future__ import annotations
 
@@ -131,25 +131,12 @@ class _Right:
         return i
 
     def step(self, symbols) -> int:
-        # first(symbols) inline, then a move along the transition it read
-        i = -1
-        out = self._nxt[self._state] if self._state >= 0 else {}
-        for c in out:
-            if c in symbols:
-                j = symbols.index(c)
-                if j < i or i < 0:
-                    i = j
-        times = i + 1 or len(symbols)
-        st = self._stats
-        length = len(self._known) + 1
-        st.substring_queries += times
-        st.total_queried_symbols += length * times
-        if times and length > st.max_query_length:
-            st.max_query_length = length
+        # a hit is a transition of the current state: take it, no second walk
+        i = self.first(symbols)
         if i >= 0:
             c = symbols[i]
             self._known.append(c)
-            self._state = out[c]
+            self._state = self._nxt[self._state][c]
         return i
 
     def advance(self, t) -> None:
