@@ -38,8 +38,8 @@ pays for a tenth of the walks, and `complete()` (which `decompose` calls)
 places the rest to give the same tree as placing everything at once. A
 search moves only from a placed node to one of its tree neighbours, so the
 step needs the key alone. `component_of` is the checked entry point for such
-a step; the phrase search (`reconstruct._phrase_search`) makes the same step
-inline, reading `depth` and `entered` itself.
+a step; the phrase searches (`reconstruct._phrase_searches`, gone before the
+tree's next `extend`) make it inline, reading `depth` and `entered` themselves.
 """
 from __future__ import annotations
 

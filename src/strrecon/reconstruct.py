@@ -53,16 +53,16 @@ class ReconstructionReport:
 
 def decompose_snapshot(snap: TreeSnapshot) -> CentroidTree:
     """The centroid decomposition of one snapshot's child maps, as the LZ
-    loop rebuilds it: validated and sized, with only its root placed.
-    `_phrase_search` steps through its map of entered components itself and
-    places a pending component the first time it enters it (perfbench times
-    this layer through this name)."""
+    loop rebuilds it: validated and sized, with only its root placed; the
+    snapshot's `_phrase_searches` place the rest where they enter, and all go
+    before the tree's next `extend` (perfbench times this layer by this name)."""
     return CentroidTree.of(snap.children)
 
 
-def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
-    """Longest t spelled by a root path of the (snapshotted) suffix tree
-    such that model.probe(t) holds; b"" when not even one symbol extends.
+def _phrase_searches(snap: TreeSnapshot, ct: CentroidTree, model):
+    """Resumed once per phrase, with its names bound once per snapshot: the
+    longest t spelled by a root path of the snapshot with model.probe(t), b""
+    if no symbol extends. It reads the live tree: drop it before `extend`.
 
     One loop in one frame walks the centroid tree and then the last partial
     edge. At each visited node u, one query verifies locus(u). A verified
@@ -78,8 +78,8 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
     is extended from the child picked for it, one edge at a time, each by an
     exponential search (doubling, then bisection), asked inline.
 
-    Each distinct t is asked at most once, with no memo of query strings.
-    Every t is a point on a root path of the snapshot, and:
+    Each distinct t is asked at most once per search, with no memo of query
+    strings. Every t is a point on a root path of the snapshot, and:
     - loci are distinct, so locus answers are kept by node id;
     - a child's extension probe is one symbol into its edge, so it equals
       locus(child) only when that edge has one symbol;
@@ -94,65 +94,68 @@ def _phrase_search(snap: TreeSnapshot, ct: CentroidTree, model) -> bytes:
     probe, first = model.probe, model.first
     text, depth, first_occ, parent = snap.text, snap.depth, snap.first_occ, ct.tree_parent
     by_symbol, children_by_symbol = snap.by_symbol, snap.children_by_symbol
-    cdepth, entered, place = ct.depth, ct.entered, ct.place
-    seen: dict[int, bool] = {0: True}  # node -> the answer for locus(node)
-    failed: dict[int, list[int]] = {}  # node -> its one-symbol children whose loci were false
-    u: int | None = ct.root  # the next centroid to visit; None once the walk leaves
-    best, found, nxt = 0, b"", -1  # the deepest verified node, its locus, its extending child
+    cdepth, entered, place, root = ct.depth, ct.entered, ct.place, ct.root
     while True:
-        if u is not None:
-            f = first_occ[u]
-            loc = text[f : f + depth[u]]  # locus(u)
-            ok = seen.get(u)
-            if ok is None:
-                ok = seen[u] = probe(loc)
-            if ok:
-                best, found = u, loc
-            else:  # step towards the tree parent v, in the component keyed ~u
-                v = parent[u]
-                key = ~u
-                if depth[u] == depth[v] + 1:
-                    failed.setdefault(v, []).append(u)
-        else:  # extend best into nxt's edge: lengths lo (verified) < hi (not, or past the edge)
-            f, d, e = first_occ[nxt], depth[best], depth[nxt]
-            g = f + d
-            # lengths from stop on are false unasked: past the edge, or locus(nxt) found false
-            stop = e - d + (seen.get(nxt) is not False)
-            lo, hi = 1, 2
-            while hi < stop and probe(text[f : g + hi]):
-                lo, hi = hi, 2 * hi
-            hi = min(hi, e - d + 1)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if mid < stop and probe(text[f : g + mid]):
-                    lo = mid
+        seen: dict[int, bool] = {0: True}  # node -> the answer for locus(node)
+        failed: dict[int, list[int]] = {}  # node -> its one-symbol children whose loci were false
+        u: int | None = root  # the next centroid to visit; None once the walk leaves
+        best, found, nxt = 0, b"", -1  # the deepest verified node, its locus, its extending child
+        while True:
+            if u is not None:
+                f = first_occ[u]
+                loc = text[f : f + depth[u]]  # locus(u)
+                ok = seen.get(u)
+                if ok is None:
+                    ok = seen[u] = probe(loc)
+                if ok:
+                    best, found = u, loc
+                else:  # step towards the tree parent v, in the component keyed ~u
+                    v = parent[u]
+                    key = ~u
+                    if depth[u] == depth[v] + 1:
+                        failed.setdefault(v, []).append(u)
+            else:  # extend best into nxt's edge: lengths lo (verified) < hi (not, or past it)
+                f, d, e = first_occ[nxt], depth[best], depth[nxt]
+                g = f + d
+                # lengths from stop on are false unasked: past the edge, or locus(nxt) found false
+                stop = e - d + (seen.get(nxt) is not False)
+                lo, hi = 1, 2
+                while hi < stop and probe(text[f : g + hi]):
+                    lo, hi = hi, 2 * hi
+                hi = min(hi, e - d + 1)
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if mid < stop and probe(text[f : g + mid]):
+                        lo = mid
+                    else:
+                        hi = mid
+                if d + lo < e:
+                    found = text[f : g + lo]
+                    break
+                best, found, ok = nxt, text[f : f + e], True
+            if ok:  # pick best's extending child: the smallest symbol that extends
+                kids, syms = by_symbol.get(best) or children_by_symbol(best)
+                gone = failed.get(best)
+                if gone:
+                    kids = [w for w in kids if w not in gone]
+                    syms = bytes(text[first_occ[w] + depth[best]] for w in kids)
+                i = first(syms, found) if kids else -1
+                if i < 0:
+                    break
+                nxt = v = key = kids[i]
+                if depth[nxt] == depth[best] + 1:
+                    seen[nxt] = True  # its locus was the query that found it
+            if u is not None:  # the centroid of u's component on v's side, if placed deeper
+                dv = cdepth[v]
+                if 0 <= dv <= cdepth[u]:
+                    u = None
+                elif key in entered:
+                    u = entered[key]
+                elif dv >= 0:  # a one-node component, placed with its parent centroid
+                    u = v
                 else:
-                    hi = mid
-            if d + lo < e:
-                return text[f : g + lo]
-            best, found, ok = nxt, text[f : f + e], True
-        if ok:  # pick best's extending child: the smallest symbol that extends
-            kids, syms = by_symbol.get(best) or children_by_symbol(best)
-            gone = failed.get(best)
-            if gone:
-                kids = [w for w in kids if w not in gone]
-                syms = bytes(text[first_occ[w] + depth[best]] for w in kids)
-            i = first(syms, found) if kids else -1
-            if i < 0:
-                return found
-            nxt = v = key = kids[i]
-            if depth[nxt] == depth[best] + 1:
-                seen[nxt] = True  # its locus was the query that found it
-        if u is not None:  # the centroid of u's component on v's side, if placed deeper
-            dv = cdepth[v]
-            if 0 <= dv <= cdepth[u]:
-                u = None
-            elif key in entered:
-                u = entered[key]
-            elif dv >= 0:  # a one-node component, placed with its parent centroid
-                u = v
-            else:
-                u = place(key)
+                    u = place(key)
+        yield found
 
 
 def _grow_symbols(sigma: int, model, seed: bytes) -> int:
@@ -215,9 +218,9 @@ def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
     when a snapshot is due, with all grown since the last one (Ukkonen's
     algorithm gives the same tree and node ids however its input is
     chunked). A snapshot is a view of the live tree, valid until its next
-    `extend`, and its decomposition reads the tree's child maps until
-    complete, so both are dropped first; each is placed only where the
-    searches enter it. Returns the number of phrases emitted; the model holds
+    `extend`, and so are its decomposition, placed only where the searches
+    enter it, and its `_phrase_searches`, resumed once per phrase: all three
+    are dropped first. Returns the number of phrases emitted; the model holds
     the result. `records` collects (size, placed) per decomposition: the
     snapshot's node count and the centroids placed in it, appended once the
     next snapshot replaces it or the phase ends.
@@ -231,13 +234,14 @@ def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
         if len(grown) >= rebuild_at:
             if ct is not None:  # record the previous decomposition; free it before the next snapshot
                 records.append((ct.size, ct.placed))
-                snap = ct = None
+                snap = ct = searches = None
             st.extend(grown[len(st.text):])
             snap = st.snapshot()
             ct = decompose_snapshot(snap)
+            searches = _phrase_searches(snap, ct, model)
             rebuild_at = len(grown) * _REBUILD_FACTOR
             fresh = symbols.translate(None, snap.text)
-        phrase = _phrase_search(snap, ct, model) if ct is not None else b""
+        phrase = next(searches) if ct is not None else b""
         if phrase:
             model.advance(phrase)
         else:

@@ -18,7 +18,8 @@ an occurrence of locus(v).
 Ukkonen's algorithm never hangs a child under a leaf, so every leaf shares one
 read-only empty child map (`_LEAF_KIDS`), and that map is the only leaf
 marker: a leaf costs no dict, and a write to it would raise rather than
-corrupt the tree.
+corrupt the tree. A leaf stores the depth `_LEAF_DEPTH`, beyond any text, which
+only `extend` reads: its active point never reaches the end of a leaf's edge.
 
 A snapshot is a read-only view of the tree, valid until the next `extend`:
 it shares the first-occurrence and child-map lists and builds only the text
@@ -26,6 +27,7 @@ bytes and the string depths, which a leaf does not store.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -33,6 +35,7 @@ from .text import Text
 
 # The child map of every leaf: empty, shared and read-only.
 _LEAF_KIDS = MappingProxyType({})
+_LEAF_DEPTH = sys.maxsize  # the stored depth of every leaf: deeper than any text
 
 
 @dataclass
@@ -74,7 +77,7 @@ class SuffixTree:
             raise ValueError("sigma must be >= 1")
         self.sigma = sigma
         self.text = bytearray()
-        self._depth = [0]        # string depth; unused for leaves (see string_depth)
+        self._depth = [0]        # string depth; _LEAF_DEPTH at leaves (see string_depth)
         self._first = [0]        # start of the first occurrence of the locus
         self._children: list = [{}]  # first edge symbol -> child id; _LEAF_KIDS at leaves
         self._slink = [0]
@@ -91,43 +94,41 @@ class SuffixTree:
         return len(self._first)
 
     def extend(self, chunk) -> None:
-        """Append the symbols of chunk in order, with Ukkonen's algorithm."""
+        """Append the symbols of chunk, all checked first, with Ukkonen's algorithm."""
         chunk = bytes(chunk)
         if chunk and not (min(chunk) >= 1 and max(chunk) <= self.sigma):
             raise ValueError(f"symbols {min(chunk)}..{max(chunk)} out of range [1..{self.sigma}]")
         text = self.text
+        text += chunk
         depth, first, children, slink = self._depth, self._first, self._children, self._slink
         add_depth, add_first = depth.append, first.append
         add_kids, add_slink = children.append, slink.append
-        leaf_kids = _LEAF_KIDS
+        leaf_kids, leaf_depth = _LEAF_KIDS, _LEAF_DEPTH
         nodes = len(first)  # id of the next node
         active_node, active_edge, active_len = self._active_node, self._active_edge, self._active_len
         remainder = self._remainder
-        for c in chunk:
-            pos = len(text)
-            text.append(c)
+        for pos, c in enumerate(chunk, len(text) - len(chunk)):
             remainder += 1
             last_internal = 0  # split node awaiting its suffix link; 0 = none
             while remainder:
                 if active_len == 0:
                     active_edge = pos
                 a_sym = text[active_edge]
-                node = active_node
-                child = children[node].get(a_sym)
+                child = (kids := children[active_node]).get(a_sym)
                 if child is None:
-                    children[node][a_sym] = nodes
-                    add_depth(0)
-                    add_first(pos - depth[node])
+                    kids[a_sym] = nodes
+                    add_depth(leaf_depth)
+                    add_first(pos - depth[active_node])
                     add_kids(leaf_kids)
                     add_slink(0)
                     nodes += 1
                     if last_internal:
-                        slink[last_internal] = node
+                        slink[last_internal] = active_node
                         last_internal = 0
                 else:
-                    dn = depth[node]
+                    dn = depth[active_node]
                     cs = first[child] + dn  # the edge into child starts here
-                    edge_len = pos + 1 - cs if children[child] is leaf_kids else depth[child] - dn
+                    edge_len = depth[child] - dn  # at a leaf, more than active_len can be
                     if active_len >= edge_len:
                         active_edge += edge_len
                         active_len -= edge_len
@@ -136,17 +137,17 @@ class SuffixTree:
                     if text[cs + active_len] == c:
                         active_len += 1
                         if last_internal:
-                            slink[last_internal] = node
+                            slink[last_internal] = active_node
                         break
                     # node `split` on the edge into child, then its new leaf
                     split = nodes
                     split_depth = dn + active_len
-                    children[node][a_sym] = split
+                    kids[a_sym] = split
                     add_depth(split_depth)
                     add_first(first[child])
                     add_kids({c: split + 1, text[cs + active_len]: child})
                     add_slink(0)
-                    add_depth(0)
+                    add_depth(leaf_depth)
                     add_first(pos - split_depth)
                     add_kids(leaf_kids)
                     add_slink(0)
@@ -155,11 +156,11 @@ class SuffixTree:
                         slink[last_internal] = split
                     last_internal = split
                 remainder -= 1
-                if active_node == 0 and active_len > 0:
+                if active_node:
+                    active_node = slink[active_node]
+                elif active_len:
                     active_len -= 1
                     active_edge = pos - remainder + 1
-                elif active_node != 0:
-                    active_node = slink[active_node]
         self._active_node, self._active_edge, self._active_len = active_node, active_edge, active_len
         self._remainder = remainder
 

@@ -5,8 +5,11 @@ import gc
 import hashlib
 import itertools
 import random
+import sys
 import tracemalloc
+import weakref
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +33,7 @@ from strrecon import oracle, reconstruct
 from strrecon.automaton import SuffixAutomaton
 from strrecon.bench import bound_holds, run_one
 from strrecon.oracle import cursor
-from strrecon.reconstruct import _phrase_search, decompose_snapshot
+from strrecon.reconstruct import _phrase_searches, decompose_snapshot
 from strrecon.text import MAX_SIGMA
 
 ALGOS = [reconstruct_naive, reconstruct_rle, reconstruct_lz_prefix, reconstruct_lz_substring]
@@ -301,7 +304,7 @@ def phrase_search(known: Text, model) -> bytes:
     tree = SuffixTree(known.sigma)
     tree.extend(known.symbols)
     snap = tree.snapshot()
-    return _phrase_search(snap, decompose_snapshot(snap), model)
+    return next(_phrase_searches(snap, decompose_snapshot(snap), model))
 
 
 def test_phrase_search_finds_longest_extending_substring():
@@ -412,11 +415,12 @@ def _capped_max_true(pred, cap: int) -> int:
 
 def _reference_phrase_search(snap, ct, model, paths: Counter) -> bytes:
     """The phrase search as a closure per search and a helper call per
-    visited node, as it was before `reconstruct._phrase_search` became one
-    loop; kept as the reference that loop must match call for call. `paths`
-    counts the searches that filter failed one-symbol children out of a
-    `first` call ("filter") and those that reach its fallback for a walk
-    that verified no node ("unverified")."""
+    visited node, as it was before the search became one loop (now
+    `reconstruct._phrase_searches`); kept as the reference that loop must
+    match call for call, search after search. `paths` counts the searches
+    that filter failed one-symbol children out of a `first` call ("filter")
+    and those that reach its fallback for a walk that verified no node
+    ("unverified")."""
     probe, first = model.probe, model.first
     text, depth, first_occ, parent = snap.text, snap.depth, snap.first_occ, ct.tree_parent
     by_symbol = snap.children_by_symbol
@@ -468,10 +472,18 @@ def _reference_phrase_search(snap, ct, model, paths: Counter) -> bytes:
     return found
 
 
+def _reference_searches(snap, ct, model, paths: Counter):
+    """`_reference_phrase_search` once per `next()`, as `_phrase_searches`
+    yields its searches."""
+    while True:
+        yield _reference_phrase_search(snap, ct, model, paths)
+
+
 @pytest.mark.parametrize("side", ["right", "left", "prefix"])
 def test_phrase_search_matches_the_closure_reference(side):
     # up to three searches in a row over one (often stale) snapshot, as the
-    # LZ loop makes them, through the native cursors of a plain Oracle and
+    # LZ loop makes them: resumes of one generator, against one reference
+    # call each, through the native cursors of a plain Oracle and
     # through the full queries of a logging subclass: the same phrases, the
     # same cursor calls and queries, the same charges and placed centroids.
     # 250 short random cases, then 60 longer low-entropy ones, whose deep
@@ -503,15 +515,16 @@ def test_phrase_search_matches_the_closure_reference(side):
         tree.extend((known[::-1] if side == "left" else known)[:held])
         runs = []
         built = []
-        for search in (_phrase_search, lambda s, c, m: _reference_phrase_search(s, c, m, paths)):
+        for searches in (_phrase_searches, partial(_reference_searches, paths=paths)):
             for o in (Oracle(Text(hidden, sigma)), _LoggingOracle(Text(hidden, sigma))):
                 snap = tree.snapshot()
                 ct = decompose_snapshot(snap)
                 built.append((snap, ct))
                 model = _CallLog(cursor(o, side, known))
+                search = searches(snap, ct, model)
                 phrases = []
                 while len(phrases) < 3 and (not phrases or phrases[-1]):
-                    phrases.append(search(snap, ct, model))
+                    phrases.append(next(search))
                     model.inner.advance(phrases[-1])
                 runs.append((phrases, model.calls, o.stats(), getattr(o, "log", None),
                              ct.placed, ct.parent))
@@ -607,6 +620,55 @@ def test_naive_and_rle_grow_by_step_calls_on_native_cursors(cursor_calls):
     assert counts == {"step": len(hidden) + 2, "probe": len(hidden), "result": 2}
 
 
+def _watch_searches(monkeypatch, before_resume) -> list:
+    """Wrap `_phrase_searches` from now on so that before_resume(snap) runs
+    before each search a generator resumes; returns the list it fills with
+    a weak reference to each generator made."""
+    searches, made = reconstruct._phrase_searches, []
+
+    def watched(snap, ct, model):
+        inner = searches(snap, ct, model)
+        made.append(weakref.ref(inner))
+
+        def resume():
+            while True:
+                before_resume(snap)
+                yield next(inner)
+
+        return resume()
+
+    monkeypatch.setattr(reconstruct, "_phrase_searches", watched)
+    return made
+
+
+# Phrase searches per LZ run on the strings below, as counted for the one
+# call per search that the loop made before it resumed one generator per
+# snapshot: (algorithm, family) -> searches.
+PINNED_SEARCHES = {
+    ("lz-prefix", "random"): 111, ("lz-prefix", "fibonacci"): 12,
+    ("lz-prefix", "copy-paste(6)"): 43, ("lz-substring", "random"): 112,
+    ("lz-substring", "fibonacci"): 14, ("lz-substring", "copy-paste(6)"): 57,
+}
+
+
+@pytest.mark.parametrize("algo", [reconstruct_lz_prefix, reconstruct_lz_substring],
+                         ids=["lz-prefix", "lz-substring"])
+def test_lz_runs_make_one_search_generator_per_decomposition(algo, monkeypatch):
+    # deterministic call counts: each snapshot's searches are resumes of one
+    # generator, so the generators made are the decompositions recorded, and
+    # the resumes are the searches the loop has always made
+    resumed: list = []
+    made = _watch_searches(monkeypatch, resumed.append)
+    for family, n, sigma in [("random", 300, 4), ("fibonacci", 233, 2), ("copy-paste(6)", 300, 3)]:
+        hidden = generate(family, n, sigma, seed=1)
+        made.clear()
+        resumed.clear()
+        rep = algo(Oracle(hidden), sigma)
+        assert rep.recovered == hidden
+        assert len(made) == len(rep.extras["decompositions"]) > 0, family
+        assert len(resumed) == PINNED_SEARCHES[rep.algorithm, family], family
+
+
 # Bytes per symbol a naive or rle run may hold at its peak besides the hidden
 # string's suffix automaton: its byte strings. Fewer than ten of at most 2n
 # bytes are alive at once: the cursor's known string and the result copies
@@ -639,6 +701,64 @@ def test_naive_and_rle_run_in_linear_space(algo, monkeypatch):
                 tracemalloc.stop()
             assert rep.recovered == hidden
             assert peak <= bound * n, (n, bound, f"{peak / n:.0f} bytes per symbol")
+
+
+# Bytes per node an LZ run may hold for one node of its suffix tree, of the
+# live snapshot and of that snapshot's decomposition, on sigma 2 text under
+# 64-bit CPython. A list slot takes 8 B, or 9 in a list grown by appends,
+# which over-allocates by at most an eighth. An implicit suffix tree has at
+# least as many leaves as internal nodes (Ukkonen), so a leaf-only cost is
+# counted once per node and an internal-only cost once per two:
+# - the tree: four slots, the node's id and first occurrence as ints, and an
+#   internal node's string depth as an int and its child map of at most
+#   sigma = 2 entries (leaves share one depth and one child map);
+# - the snapshot: one depth slot and a leaf's depth as an int;
+# - the decomposition: four exact-size slots (parent, depth, tree parent,
+#   size), one slot of the breadth-first order `CentroidTree.of` builds, and
+#   an internal node's in-component size as an int.
+# Left out are the maps that the searches fill only where they walk: the
+# snapshot's `by_symbol` pairs and the decomposition's pending and entered
+# components (6-8 % and 16-19 % of the last snapshot's nodes in these runs).
+_INT, _CHILD_MAP = sys.getsizeof(2**20), sys.getsizeof({1: 1, 2: 2})
+_LZ_BYTES_PER_NODE = (4 * 9 + 2 * _INT + (_INT + _CHILD_MAP) / 2   # tree
+                      + 9 + _INT                                  # snapshot
+                      + 4 * 8 + 9 + _INT / 2)                     # decomposition
+# Byte strings of at most 2n bytes an LZ run holds besides a naive or rle
+# run's: the known string it grows, the tree's text and the snapshot's.
+_LZ_BYTES_PER_SYMBOL = _RUN_BYTES_PER_SYMBOL + 3 * 2
+
+
+@pytest.mark.parametrize("algo", [reconstruct_lz_prefix, reconstruct_lz_substring],
+                         ids=["lz-prefix", "lz-substring"])
+def test_lz_runs_hold_one_tree_snapshot_and_decomposition(algo, monkeypatch):
+    # the tree is extended only when a snapshot is due, so it never has more
+    # nodes than its phase's largest snapshot, at most 2n (Ukkonen); a run
+    # holds one tree, one live snapshot and its decomposition, and its byte
+    # strings, plus the hidden string's automaton if its right cursor builds
+    # one (lz-substring; tests/test_automaton.py bounds it). So the traced
+    # peak is at most _LZ_BYTES_PER_NODE per node of the largest snapshot
+    # plus a constant per symbol: at most (2 * 310 + 26 + 700) B per symbol
+    # at both sizes under CPython 3.11. As in the naive and rle check, a second run reuses the
+    # automaton build, so its peak is the run's own.
+    builds = (True, False) if algo is reconstruct_lz_substring else (False,)
+    for n in (10**4, 4 * 10**4):
+        hidden = generate("random", n, 2, seed=n)
+        monkeypatch.setattr(SuffixAutomaton, "_last", None)
+        for builds_automaton in builds:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                rep = algo(Oracle(hidden), 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.recovered == hidden
+            nodes = max(size for size, _ in rep.extras["decompositions"])
+            assert nodes <= 2 * n
+            per_symbol = _LZ_BYTES_PER_SYMBOL + builds_automaton * _AUTOMATON_BYTES_PER_SYMBOL
+            bound = _LZ_BYTES_PER_NODE * nodes + per_symbol * n
+            assert peak <= bound, (n, builds_automaton,
+                                   f"{peak / n:.0f} > {bound / n:.0f} bytes per symbol")
 
 
 def test_bound_holds_rejects_unknown_algorithm():
@@ -722,31 +842,37 @@ def test_lz_tree_is_extended_only_as_far_as_snapshots_read(algo, monkeypatch):
                          ids=["lz-substring", "lz-prefix"])
 def test_phrase_search_reads_only_a_current_snapshot(algo, monkeypatch):
     # a snapshot is a view of the live tree, valid until its next extend, so
-    # every phrase search must read one whose text and node count are still
-    # its tree's
-    snapshot, search = SuffixTree.snapshot, reconstruct._phrase_search
+    # every resumed phrase search must read one whose text and node count are
+    # still its tree's, and no snapshot's search generator may outlive it
+    snapshot, extend = SuffixTree.snapshot, SuffixTree.extend
     taken: list = []  # (snapshot, its tree), kept alive so ids stay unique
-    searches = 0
+    resumed = 0
 
     def recording_snapshot(self):
         snap = snapshot(self)
         taken.append((snap, self))
         return snap
 
-    def checked_search(snap, ct, model):
-        nonlocal searches
+    def checked_extend(self, chunk):
+        alive = sum(ref() is not None for ref in made)
+        assert not alive, f"{alive} search generators are alive as the tree extends"
+        extend(self, chunk)
+
+    def check_current(snap):
+        nonlocal resumed
         (tree,) = [t for s, t in taken if s is snap]
         assert snap.text == tree.text and snap.size == tree.node_count
-        searches += 1
-        return search(snap, ct, model)
+        resumed += 1
 
     monkeypatch.setattr(SuffixTree, "snapshot", recording_snapshot)
-    monkeypatch.setattr(reconstruct, "_phrase_search", checked_search)
+    monkeypatch.setattr(SuffixTree, "extend", checked_extend)
+    made = _watch_searches(monkeypatch, check_current)
     for family, n, sigma in [("random", 300, 4), ("fibonacci", 233, 2), ("copy-paste(6)", 300, 3)]:
         hidden = generate(family, n, sigma, seed=1)
         rep = algo(Oracle(hidden), sigma)
         assert rep.recovered.symbols == hidden.symbols
-    assert searches > len(taken)  # most searches read a snapshot taken before
+    assert len(made) == len(taken)  # one generator per snapshot
+    assert resumed > len(taken)  # most searches read a snapshot taken before
 
 
 class _LoggingOracle(Oracle):

@@ -45,6 +45,18 @@ def test_rejects_bad_arguments():
     with pytest.raises(KeyError):
         tree.locus_interval(99)
     tree.extend(from_letters("abaa").symbols)
+    # the whole chunk is checked before any of it is taken: a bad symbol
+    # after good ones leaves the tree as it was
+    def state(tree):  # copies, since a snapshot shares the tree's lists
+        snap = tree.snapshot()
+        return (bytes(tree.text), tree.node_count, snap.depth,
+                [dict(kids) for kids in snap.children], list(snap.first_occ))
+
+    before = state(tree)
+    for chunk in ((1, 2, 1, 3), (2, 2, 0)):
+        with pytest.raises(ValueError):
+            tree.extend(chunk)
+        assert state(tree) == before
     # a negative id must not index the node lists from their end
     for v in (-1, tree.node_count, 99):
         for accessor in (tree.locus_interval, tree.string_depth, tree.is_leaf):
