@@ -2,9 +2,9 @@
 
 Reconstruction code only ever sees an :class:`Oracle`; the hidden string is
 never exposed. Every query is counted, including repeated identical ones:
-each query method and each native cursor's ``probe`` and ``first`` update
-the oracle's stats in place, so that each is one Python call; ``step`` asks
-and charges through ``first`` and, only on a hit, also advances.
+each query method and each native cursor's ``probe``, ``first`` and ``step``
+(up to ``most`` symbols taken) update the oracle's stats in place, once per
+call, so that each is one Python call.
 """
 from __future__ import annotations
 
@@ -130,14 +130,41 @@ class _Right:
                 st.max_query_length = length
         return i
 
-    def step(self, symbols) -> int:
-        # a hit is a transition of the current state: take it, no second walk
-        i = self.first(symbols)
-        if i >= 0:
+    def step(self, symbols, most=1) -> int:
+        # first's scan, once per round; a hit moves along the transition read
+        nxt, known, s = self._nxt, self._known, self._state
+        k = len(known)
+        stop = k + most  # no range(most): a one-round call pays for no iterator
+        queries = queried = 0
+        last = -1
+        while k != stop:
+            length = k + 1
+            i = -1
+            if s >= 0:
+                row = nxt[s]
+                for c in row:
+                    if c in symbols:
+                        j = symbols.index(c)
+                        if j < i or i < 0:
+                            i = j
+            times = i + 1 or len(symbols)
+            queries += times
+            queried += length * times
+            if i < 0:
+                break
             c = symbols[i]
-            self._known.append(c)
-            self._state = self._nxt[self._state][c]
-        return i
+            known.append(c)
+            s = row[c]
+            k = length
+            last = i
+        if queries:
+            st = self._stats
+            st.substring_queries += queries
+            st.total_queried_symbols += queried
+            if length > st.max_query_length:
+                st.max_query_length = length
+        self._state = s
+        return last
 
     def advance(self, t) -> None:
         self._known += t
@@ -199,12 +226,35 @@ class _Prefix:
                 st.max_query_length = length
         return i
 
-    def step(self, symbols) -> int:
-        i = self.first(symbols)
-        if i >= 0:  # known + symbols[i] is a prefix of hay, so _ok still holds
-            self._known.append(symbols[i])
-            self._k += 1
-        return i
+    def step(self, symbols, most=1) -> int:
+        # hay[k] is the one symbol that extends; what is taken keeps _ok
+        hay, k = self._hay, self._k
+        end = len(hay) if self._ok else k
+        stop = k + most
+        queries = queried = 0
+        last = -1
+        while k != stop:
+            length = k + 1
+            i = symbols.index(hay[k]) if k < end and hay[k] in symbols else -1
+            times = i + 1 or len(symbols)
+            queries += times
+            queried += length * times
+            if i < 0:
+                break
+            k = length
+            last = i
+        if queries:
+            st = self._stats
+            if self._left:
+                st.substring_queries += queries
+            else:
+                st.prefix_queries += queries
+            st.total_queried_symbols += queried
+            if length > st.max_query_length:
+                st.max_query_length = length
+        self._known += hay[self._k:k]
+        self._k = k
+        return last
 
     def advance(self, t) -> None:
         self._ok = self._ok and self._hay.startswith(t, self._k)
@@ -240,11 +290,15 @@ class _Full:
                 return i
         return -1
 
-    def step(self, symbols) -> int:
-        i = self.first(symbols)
-        if i >= 0:
+    def step(self, symbols, most=1) -> int:
+        last = -1
+        for _ in range(most):
+            i = self.first(symbols)
+            if i < 0:
+                break
             self.advance(bytes((symbols[i],)))
-        return i
+            last = i
+        return last
 
     def advance(self, t) -> None:
         self._known = self._join(t)
@@ -265,10 +319,12 @@ def cursor(o, side: str, known: bytes = b""):
     ``first(symbols, mid=b"")`` asks the probes ``mid + c`` for each ``c`` in
     ``symbols``, in order, and returns the index of the first true one, or
     -1, charging one query of ``len(known) + len(mid) + 1`` symbols per
-    symbol tried. ``step(symbols)`` asks, charges and returns what
-    ``first(symbols)`` does and, only on a hit, extends known by the symbol
-    found. ``advance(t)`` extends known and asks nothing; ``result()``
-    returns known.
+    symbol tried. ``step(symbols, most=1)`` takes up to ``most`` steps: each
+    asks and charges what ``first(symbols)`` would and, on a hit, extends
+    known by the symbol found; it stops after the first miss or the
+    ``most``-th hit and returns the index of the last symbol taken, or -1 if
+    it took none. ``advance(t)`` extends known and asks nothing;
+    ``result()`` returns known.
 
     Only an object whose class is exactly Oracle gets a native cursor, which
     keeps the match state of known and charges its own queries: a probe takes
@@ -276,15 +332,16 @@ def cursor(o, side: str, known: bytes = b""):
     automaton state's transitions (fewer than three on average), each looked
     up in ``symbols``, on the right side, and one compare and one lookup in
     ``symbols`` on the prefix side; it never iterates over ``symbols``, and
-    neither does ``step``, whose right cursor moves along the transition it
-    read. The native left cursor is the prefix cursor over the reversed
-    hidden string, so it serves a `known` that occurs nowhere or only as a
-    prefix, the only kind a left phase starts from; any other `known` gets
-    the full-query cursor below, on a plain Oracle too. Any other object (a
-    wrapper, or a subclass that overrides the query methods) is asked each
-    full query as new bytes, in order and ``first`` and ``step`` included,
-    through its contains_substring or is_prefix, with the same answers and
-    counts, and may keep it.
+    neither does ``step``, which charges once per call and whose right
+    cursor moves along the transition it read. The native left cursor is
+    the prefix cursor over the reversed hidden string, so it serves a
+    `known` that occurs nowhere or only as a prefix, the only kind a left
+    phase starts from; any other `known` gets the full-query cursor below,
+    on a plain Oracle too. Any other object (a wrapper, or a subclass that
+    overrides the query methods) is asked each full query as new bytes, in
+    order and ``first`` and ``step`` included, through its
+    contains_substring or is_prefix, with the same answers and counts, and
+    may keep it.
     """
     if side not in _SIDES:
         raise ValueError(f"unknown cursor side {side!r}; expected one of {', '.join(_SIDES)}")

@@ -12,6 +12,7 @@ query reverse(t) + R is then a prefix query on reverse(S).
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
@@ -159,14 +160,12 @@ def _phrase_searches(snap: TreeSnapshot, ct: CentroidTree, model):
 
 
 def _grow_symbols(sigma: int, model, seed: bytes) -> int:
-    """Naive: one symbol per step, the smallest that extends, found and taken
-    by one `step` call over 1..sigma that charges one query per symbol tried;
-    at most sigma queries per step plus one full round of failures."""
-    step = model.step
-    symbols = bytes(range(1, sigma + 1))
-    for steps in count():
-        if step(symbols) < 0:
-            return steps
+    """Naive: one symbol per step, the smallest that extends, and the whole
+    phase taken by one unbounded `step` call over 1..sigma that charges one
+    query per symbol tried: at most sigma queries per step plus one full
+    round of failures. Returns the number of symbols taken."""
+    model.step(bytes(range(1, sigma + 1)), sys.maxsize)
+    return len(model.result()) - len(seed)
 
 
 def _grow_runs(sigma: int, model, seed: bytes) -> int:

@@ -1,7 +1,9 @@
 """Oracle behavior checked against brute-force scans."""
 from __future__ import annotations
 
+import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,8 +201,9 @@ def test_cursors_match_brute_force_on_the_canonical_query(data):
     # any order, with duplicates, empty, and with symbols that have no
     # transition anywhere in a right cursor's automaton (0, and above the
     # hidden string's largest symbol, which sigma may exceed), first() after
-    # a mid that is empty, a true extension or free; a step advances both
-    # cursors by the symbol it found, and leaves them as they were on a miss
+    # a mid that is empty, a true extension or free; step() takes up to most
+    # steps (1, 2, 3 or unbounded), each by the smallest-indexed symbol that
+    # extends, stops at the first miss and returns the last index it took
     top = data.draw(st.integers(min_value=1, max_value=3))
     s = bytes(data.draw(st.lists(st.integers(1, top), min_size=1, max_size=40)))
     sigma = top + data.draw(st.sampled_from([0, 0, 1, 2]))
@@ -222,26 +225,35 @@ def test_cursors_match_brute_force_on_the_canonical_query(data):
                 tried = bytes(tried)
             mid = b"" if step == "step" else data.draw(
                 st.one_of(st.just(b""), st.sampled_from(ext) if ext else free, free))
-            q = [bytes((c,)) + mid[::-1] + known if side == "left" else known + mid + bytes((c,))
-                 for c in tried]
-            hits = [i for i, qc in enumerate(q) if _holds(s, side, qc)]
-            expected = hits[0] if hits else -1
-            asked = expected + 1 if hits else len(tried)
-            calls += asked
-            symbols += asked * (len(known) + len(mid) + 1)
-            if asked:
-                longest = max(longest, len(known) + len(mid) + 1)
+            most = data.draw(st.sampled_from([1, 2, 3, sys.maxsize])) if step == "step" else 1
+            start, expected = known, -1
+            for _ in range(most):  # one round of first(tried, mid) per step
+                q = [bytes((c,)) + mid[::-1] + known if side == "left"
+                     else known + mid + bytes((c,)) for c in tried]
+                hits = [i for i, qc in enumerate(q) if _holds(s, side, qc)]
+                asked = hits[0] + 1 if hits else len(tried)
+                calls += asked
+                symbols += asked * (len(known) + len(mid) + 1)
+                if asked:
+                    longest = max(longest, len(known) + len(mid) + 1)
+                if not hits:
+                    break
+                expected = hits[0]
+                if step == "first":
+                    break
+                took = bytes((tried[expected],))
+                known = took + known if side == "left" else known + took
             if step == "step":
-                answers = [c.step(tried) for c in cursors]
-                if hits:
-                    took = bytes((tried[expected],))
-                    known = took + known if side == "left" else known + took
-                assert [c.result() for c in cursors] == [known, known], (s, side, known, tried)
+                if most > 1 or data.draw(st.booleans()):
+                    answers = [c.step(tried, most) for c in cursors]
+                else:  # the default most
+                    answers = [c.step(tried) for c in cursors]
+                assert [c.result() for c in cursors] == [known, known], (s, side, start, tried, most)
             elif mid or data.draw(st.booleans()):
                 answers = [c.first(tried, mid) for c in cursors]
             else:  # the default mid
                 answers = [c.first(tried) for c in cursors]
-            assert answers == [expected, expected], (s, side, known, mid, tried)
+            assert answers == [expected, expected], (s, side, start, mid, tried, most)
             assert native_o.stats() == full_o.stats()
             continue
         t = data.draw(st.sampled_from(ext) if ext and data.draw(st.booleans()) else free)
@@ -409,15 +421,16 @@ def test_step_from_an_unverified_known_asks_every_symbol_and_takes_none(side):
     # right state -1 (the known string occurs nowhere), or a prefix cursor
     # whose known is not a prefix (_ok False), the left one over the
     # reversed hidden string; symbols as bytes and as lists, with duplicates
-    # and with symbols the hidden string lacks
+    # and with symbols the hidden string lacks; whatever most allows, the
+    # first round misses and is charged in full
     s = from_letters("abcab").symbols
     known = b"\x03\x03"
-    for tried in (b"\x01\x02\x03", [3, 1, 1, 0, 2]):
+    for tried, most in itertools.product((b"\x01\x02\x03", [3, 1, 1, 0, 2]), (1, 3, sys.maxsize)):
         native_o, full_o = Oracle(Text(s, 3)), Oracle(Text(s, 3))
         native = cursor(native_o, side, known)
         full = cursor(_PassThrough(full_o), side, known)
         assert (native._state == -1) if side == "right" else (native._ok is False)
-        assert native.step(tried) == full.step(tried) == -1
+        assert native.step(tried, most) == full.step(tried, most) == -1
         assert native.result() == full.result() == known
         assert native_o.stats() == full_o.stats()
         assert native_o.stats().total_queries == len(tried)

@@ -603,16 +603,19 @@ def test_rle_run_length_search_asks_at_most_2_bit_length_plus_2_probes(cursor_ca
 
 def test_naive_and_rle_grow_by_step_calls_on_native_cursors(cursor_calls):
     # deterministic call counts, which a timing cannot give: naive takes each
-    # recovered symbol by one step and ends each phase with one failing step;
+    # phase by one unbounded step, whose phase counts the symbols it took;
     # rle on periodic text (every run of length one) makes no advance
     for family, n, sigma in [("random", 400, 4), ("fibonacci", 300, 2), ("periodic", 500, 26)]:
         hidden = generate(family, n, sigma, seed=3)
         hidden = Text(hidden.symbols[7:], sigma)  # so the left phase has symbols to take
         cursor_calls.clear()
-        assert reconstruct_naive(Oracle(hidden), sigma).recovered == hidden
-        assert {kind for kind, _, _ in cursor_calls} == {"_Right", "_Prefix"}
-        counts = Counter((name, answer >= 0) for _, name, answer in cursor_calls if name != "result")
-        assert counts == {("step", True): len(hidden), ("step", False): 2}, family
+        rep = reconstruct_naive(Oracle(hidden), sigma)
+        assert rep.recovered == hidden
+        steps = [(kind, answer >= 0) for kind, name, answer in cursor_calls if name == "step"]
+        assert steps == [("_Right", True), ("_Prefix", True)], family
+        assert {name for _, name, _ in cursor_calls} == {"step", "result"}
+        right = next(len(answer) for _, name, answer in cursor_calls if name == "result")
+        assert [p.units for p in rep.phases] == [right, len(hidden) - right], family
     hidden = Text(generate("periodic", 500, 26).symbols[7:], 26)
     cursor_calls.clear()
     assert reconstruct_rle(Oracle(hidden), 26).recovered == hidden
