@@ -21,7 +21,6 @@ class QueryStats:
     substring_queries: int = 0
     prefix_queries: int = 0
     total_queried_symbols: int = 0
-    max_query_length: int = 0
 
     @property
     def total_queries(self) -> int:
@@ -54,8 +53,6 @@ class Oracle:
         st = self._stats
         st.substring_queries += 1
         st.total_queried_symbols += len(q)
-        if len(q) > st.max_query_length:
-            st.max_query_length = len(q)
         return self._hidden.find(q) >= 0
 
     def is_prefix(self, q) -> bool:
@@ -65,14 +62,11 @@ class Oracle:
         st = self._stats
         st.prefix_queries += 1
         st.total_queried_symbols += len(q)
-        if len(q) > st.max_query_length:
-            st.max_query_length = len(q)
         return self._hidden.startswith(q)
 
     def stats(self) -> QueryStats:
         st = self._stats
-        return QueryStats(st.substring_queries, st.prefix_queries,
-                          st.total_queried_symbols, st.max_query_length)
+        return QueryStats(st.substring_queries, st.prefix_queries, st.total_queried_symbols)
 
 
 class _Right:
@@ -106,8 +100,6 @@ class _Right:
         length = len(self._known) + len(t)
         st.substring_queries += 1
         st.total_queried_symbols += length
-        if length > st.max_query_length:
-            st.max_query_length = length
         return self._walk(self._state, t) >= 0
 
     def first(self, symbols, mid=b"") -> int:
@@ -126,8 +118,6 @@ class _Right:
             length = len(self._known) + len(mid) + 1
             st.substring_queries += times
             st.total_queried_symbols += length * times
-            if length > st.max_query_length:
-                st.max_query_length = length
         return i
 
     def step(self, symbols, most=1) -> int:
@@ -161,8 +151,6 @@ class _Right:
             st = self._stats
             st.substring_queries += queries
             st.total_queried_symbols += queried
-            if length > st.max_query_length:
-                st.max_query_length = length
         self._state = s
         return last
 
@@ -201,8 +189,6 @@ class _Prefix:
         else:
             st.prefix_queries += 1
         st.total_queried_symbols += length
-        if length > st.max_query_length:
-            st.max_query_length = length
         return self._ok and self._hay.startswith(t, k)
 
     def first(self, symbols, mid=b"") -> int:
@@ -222,8 +208,6 @@ class _Prefix:
             else:
                 st.prefix_queries += times
             st.total_queried_symbols += length * times
-            if length > st.max_query_length:
-                st.max_query_length = length
         return i
 
     def step(self, symbols, most=1) -> int:
@@ -250,8 +234,6 @@ class _Prefix:
             else:
                 st.prefix_queries += queries
             st.total_queried_symbols += queried
-            if length > st.max_query_length:
-                st.max_query_length = length
         self._known += hay[self._k:k]
         self._k = k
         return last

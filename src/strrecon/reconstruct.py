@@ -169,10 +169,14 @@ def _grow_symbols(sigma: int, model, seed: bytes) -> int:
 
 
 def _grow_runs(sigma: int, model, seed: bytes) -> int:
-    """rle: one maximal run per step; its symbol is found and its first copy
-    taken by one `step` call over 1..sigma without the skipped symbol (at
-    most sigma queries), then the rest of the run is found by an exponential
-    search (<= 2 * bit_length(run) + 2 probes) and taken by one `advance`.
+    """rle: one maximal run at a time, at most sigma queries to find it plus
+    at most 2 * bit_length(run) + 2 for its length. After a run's first copy
+    of c, one `step` over again[c] = c + without[c] asks whether a second
+    copy follows and, if not, which other symbol starts the next run, so a
+    run of one costs one cursor call. On a second copy an exponential search
+    finds the rest of the run, whose last probe asked one more copy and was
+    refused, and one `advance` takes it; the next step is then over
+    without[c]. Returns the number of runs taken.
 
     Each accepted run is maximal at its (unique, by the suffix invariant)
     occurrence, so the same symbol cannot start the next run and is skipped.
@@ -182,17 +186,19 @@ def _grow_runs(sigma: int, model, seed: bytes) -> int:
     step, probe, advance = model.step, model.probe, model.advance
     symbols = bytes(range(1, sigma + 1))
     without = [symbols.replace(_SYMBOLS[c], b"") for c in range(sigma + 1)]
-    skip = seed[-1] if seed else 0
-    for steps in count():
-        rest = without[skip]
-        i = step(rest)
-        if i < 0:
-            return steps
-        skip = rest[i]
-        unit = _SYMBOLS[skip]
-        lo, hi = 0, 1  # copies beyond the first: lo verified, hi not
+    again = [_SYMBOLS[c] + w for c, w in enumerate(without)]
+    rest = without[seed[-1] if seed else 0]
+    runs = 0
+    while (i := step(rest)) >= 0:
+        c = rest[i]
+        if rest is not again[c]:  # a new run's first copy
+            runs += 1
+            rest = again[c]
+            continue
+        unit = _SYMBOLS[c]
+        lo, hi = 0, 2  # copies beyond the second: lo verified, hi not
         while probe(unit * hi):
-            lo, hi = hi, 2 * hi + 1
+            lo, hi = hi, 2 * hi + 2
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if probe(unit * mid):
@@ -201,6 +207,8 @@ def _grow_runs(sigma: int, model, seed: bytes) -> int:
                 hi = mid
         if lo:
             advance(unit * lo)
+        rest = without[c]
+    return runs
 
 
 def _lz_grow(sigma: int, model, seed: bytes, records: list) -> int:
@@ -291,8 +299,9 @@ def reconstruct_naive(o, sigma: int) -> ReconstructionReport:
 
 
 def reconstruct_rle(o, sigma: int) -> ReconstructionReport:
-    """Run-by-run reconstruction: each maximal run costs <= sigma symbol
-    probes plus an exponential search on the run length."""
+    """Run-by-run reconstruction: each maximal run costs at most sigma
+    queries to find its symbol, one of them asking whether the run before
+    it goes on, plus at most 2 * bit_length(run) + 2 for its length."""
     return _drive(o, sigma, ("right", "left"), _grow_runs, "rle", "runs")
 
 

@@ -588,23 +588,27 @@ def cursor_calls(monkeypatch) -> list[tuple]:
 
 
 def test_rle_run_length_search_asks_at_most_2_bit_length_plus_2_probes(cursor_calls):
-    # in a^k b, the right phase's first step takes a; the probes before its
-    # next step count the rest of a's run, and only a longer run is advanced
+    # in a^k b, the right phase's first step takes a and its second step
+    # asks a before b: it takes a's second copy (index 0) or, for k = 1, b
+    # (index 1); the probes before the third step count the rest of a's run,
+    # and only a run longer than two is advanced
     for k in range(1, 70):
         hidden = Text(b"\x01" * k + b"\x02", 2)
         cursor_calls.clear()
         assert reconstruct_rle(Oracle(hidden), 2).recovered == hidden
         names = [name for _, name, _ in cursor_calls]
-        assert cursor_calls[0] == ("_Right", "step", 0)
-        search = names[1 : names.index("step", 1)]
+        assert cursor_calls[:2] == [("_Right", "step", 0), ("_Right", "step", int(k == 1))], k
+        search = names[2 : names.index("step", 2)]
         assert search.count("probe") <= 2 * k.bit_length() + 2, k
-        assert search.count("advance") == (k > 1), k
+        assert search.count("advance") == (k > 2), k
 
 
 def test_naive_and_rle_grow_by_step_calls_on_native_cursors(cursor_calls):
     # deterministic call counts, which a timing cannot give: naive takes each
     # phase by one unbounded step, whose phase counts the symbols it took;
-    # rle on periodic text (every run of length one) makes no advance
+    # rle on periodic text (every run of length one) takes each run by one
+    # step, which also asks whether the run before it goes on, and makes no
+    # probe and no advance
     for family, n, sigma in [("random", 400, 4), ("fibonacci", 300, 2), ("periodic", 500, 26)]:
         hidden = generate(family, n, sigma, seed=3)
         hidden = Text(hidden.symbols[7:], sigma)  # so the left phase has symbols to take
@@ -620,7 +624,30 @@ def test_naive_and_rle_grow_by_step_calls_on_native_cursors(cursor_calls):
     cursor_calls.clear()
     assert reconstruct_rle(Oracle(hidden), 26).recovered == hidden
     counts = Counter(name for _, name, _ in cursor_calls)
-    assert counts == {"step": len(hidden) + 2, "probe": len(hidden), "result": 2}
+    assert counts == {"step": len(hidden) + 2, "result": 2}
+
+
+@pytest.mark.parametrize("algo", [reconstruct_naive, reconstruct_rle], ids=["naive", "rle"])
+def test_native_scan_runs_match_full_queries(algo):
+    # the native step calls, over up to 26 symbols and with runs of every
+    # length, ask and charge what the full-query path asks one query at a
+    # time, phase by phase; each string starts inside the text its family
+    # makes, so the left phase has symbols to take (unary's has none)
+    rng = random.Random(8)
+    mixed = b"".join(bytes((rng.randint(1, 3),)) * rng.randint(1, 40) for _ in range(40))
+    hiddens = [generate(family, n, sigma, seed=3) for family, n, sigma in
+               [("random", 600, 26), ("random", 600, 2), ("runs(5)", 600, 4),
+                ("periodic", 600, 26), ("fibonacci", 610, 2), ("unary", 600, 1)]]
+    hiddens.append(Text(mixed, 3))
+    for hidden in hiddens:
+        hidden = Text(hidden.symbols[7:], hidden.sigma)
+        native = algo(Oracle(hidden), hidden.sigma)
+        full = algo(_LoggingOracle(hidden), hidden.sigma)
+        assert native.recovered == full.recovered == hidden
+        assert native.stats == full.stats, to_letters(hidden.symbols[:20])
+        assert native.phases == full.phases
+        if algo is reconstruct_rle:
+            assert sum(p.units for p in native.phases) == measure(hidden).rle
 
 
 def _watch_searches(monkeypatch, before_resume) -> list:
